@@ -287,13 +287,6 @@ pub fn atoms_of(p: &CBool, out: &mut Vec<CBool>) {
     }
 }
 
-/// Builds an abstraction-ready program handle: not needed yet, kept for
-/// interface parity.
-pub fn usable_predicate(program: &Program, p: &CBool) -> bool {
-    let _ = program;
-    cbool_to_formula(p).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

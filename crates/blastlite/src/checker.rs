@@ -176,6 +176,34 @@ impl CheckOutcome {
         matches!(self, CheckOutcome::CertificateMismatch { .. })
     }
 
+    /// The label `pathslice check` prints and the wire serves (`SAFE`,
+    /// `BUG`, `TIMEOUT(..)`, `INTERNAL(..)`, `MISMATCH(..)`), with the
+    /// process exit code it implies (0 safe, 1 bug, 2 timeout/internal,
+    /// 3 certificate mismatch).
+    pub fn verdict(&self) -> (String, i32) {
+        match self {
+            CheckOutcome::Safe => ("SAFE".into(), 0),
+            CheckOutcome::Bug { .. } => ("BUG".into(), 1),
+            CheckOutcome::Timeout(reason) => (format!("TIMEOUT({reason:?})"), 2),
+            CheckOutcome::InternalError { phase, .. } => (format!("INTERNAL({phase})"), 2),
+            CheckOutcome::CertificateMismatch { claimed, .. } => {
+                (format!("MISMATCH({claimed})"), 3)
+            }
+        }
+    }
+
+    /// Inverts [`verdict`](Self::verdict) for the two stable labels:
+    /// `SAFE` and `BUG` give their [`kind_label`](Self::kind_label) and
+    /// exit code. `None` for every other label — a timeout, an internal
+    /// error or a mismatch is not a verdict a certificate vouches for.
+    pub fn stable_kind(label: &str) -> Option<(&'static str, i32)> {
+        match label {
+            "SAFE" => Some(("Safe", 0)),
+            "BUG" => Some(("Bug", 1)),
+            _ => None,
+        }
+    }
+
     /// A short label for the verdict kind (`"Safe"`, `"Bug"`,
     /// `"Timeout(WallClock)"`, …), used by certificates to record what
     /// they claim to support.

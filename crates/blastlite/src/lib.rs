@@ -59,4 +59,7 @@ pub use driver::{
     DriverClusterReport, DriverConfig, DriverReport, DriverSummary, RetryPolicy,
 };
 pub use reach::SearchOrder;
-pub use session::{render_verdicts, ClusterDeps, ReuseOutcome, Session, UpdateReport};
+pub use session::{
+    parse_verdicts, render_slice_edge, render_verdicts, ClusterDeps, RenderedVerdict, ReuseOutcome,
+    Session, UpdateReport,
+};

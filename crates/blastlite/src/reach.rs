@@ -114,12 +114,6 @@ pub fn reachable_with(
     seen.insert(init, ());
     let mut queue: VecDeque<usize> = VecDeque::new();
     queue.push_back(0);
-    // Abstract posts depend only on (edge, valuation) — never on the
-    // call stack — so memoizing them collapses the dominant cost of
-    // exploration (states mostly differ in stack context).
-    let mut post_cache: HashMap<(EdgeId, Valuation), Option<Valuation>> = HashMap::new();
-    let cache_hits = obs::counter("reach.post_cache_hits");
-    let cache_misses = obs::counter("reach.post_cache_misses");
     let states = obs::counter("reach.states");
 
     while let Some(ni) = match order {
@@ -149,26 +143,11 @@ pub fn reachable_with(
                 idx: ei,
             };
             let succ: Option<AbsState> = match &edge.op {
-                Op::Assume(p) => {
-                    let key = (eid, state.vals.clone());
-                    let vals = match post_cache.get(&key) {
-                        Some(v) => {
-                            cache_hits.inc();
-                            v.clone()
-                        }
-                        None => {
-                            cache_misses.inc();
-                            let v = pool.post_assume(&state.vals, p);
-                            post_cache.insert(key, v.clone());
-                            v
-                        }
-                    };
-                    vals.map(|vals| AbsState {
-                        loc: edge.dst,
-                        stack: state.stack.clone(),
-                        vals,
-                    })
-                }
+                Op::Assume(p) => pool.post_assume(&state.vals, p).map(|vals| AbsState {
+                    loc: edge.dst,
+                    stack: state.stack.clone(),
+                    vals,
+                }),
                 Op::Call(f) => {
                     let mut stack = state.stack.clone();
                     stack.push(edge.dst);
@@ -186,31 +165,11 @@ pub fn reachable_with(
                         vals: state.vals.clone(),
                     })
                 }
-                op => {
-                    let key = (eid, state.vals.clone());
-                    // Non-assume posts are total, so the cached slot is
-                    // always `Some`; if the cache ever held a stale `None`
-                    // (it is shared with the assume arm by key shape),
-                    // recompute rather than panic on the checker path.
-                    let cached = match post_cache.get(&key) {
-                        Some(v) => {
-                            cache_hits.inc();
-                            v.clone()
-                        }
-                        None => {
-                            cache_misses.inc();
-                            let v = Some(pool.post_op(analyses, &state.vals, op));
-                            post_cache.insert(key, v.clone());
-                            v
-                        }
-                    };
-                    let vals = cached.unwrap_or_else(|| pool.post_op(analyses, &state.vals, op));
-                    Some(AbsState {
-                        loc: edge.dst,
-                        stack: state.stack.clone(),
-                        vals,
-                    })
-                }
+                op => Some(AbsState {
+                    loc: edge.dst,
+                    stack: state.stack.clone(),
+                    vals: pool.post_op(analyses, &state.vals, op),
+                }),
             };
             if let Some(mut s) = succ {
                 if scoped {

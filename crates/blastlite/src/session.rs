@@ -32,7 +32,7 @@ use crate::checker::{CheckOutcome, CheckerConfig, ClusterReport, RefutationRound
 use crate::driver::{
     run_clusters_seeded, ClusterValidator, DriverClusterReport, DriverConfig, DriverReport,
 };
-use cfa::{CBool, FuncId, Program};
+use cfa::{CBool, EdgeId, FuncId, Program};
 use dataflow::{Analyses, BuildReuse};
 use rt::{FaultKind, FaultSite};
 use std::collections::HashMap;
@@ -541,33 +541,19 @@ fn corrupt_stored(report: &mut DriverClusterReport) {
     }
 }
 
+/// Indent of the lines under a verdict header (headers start at column 0).
+const BODY_INDENT: &str = "    ";
+
 /// Renders cluster verdicts exactly as `pathslice check` prints them and
 /// computes the process exit code (0 safe, 1 bug, 2 timeout/internal,
 /// 3 certificate mismatch). One function so the CLI and the server are
-/// byte-identical by construction.
+/// byte-identical by construction; [`parse_verdicts`] reads it back.
 pub fn render_verdicts(program: &Program, reports: &[ClusterReport]) -> (String, i32) {
     let mut out = String::new();
     let mut worst = 0;
     for r in reports {
-        let verdict = match &r.report.outcome {
-            CheckOutcome::Safe => "SAFE".to_owned(),
-            CheckOutcome::Bug { .. } => {
-                worst = worst.max(1);
-                "BUG".to_owned()
-            }
-            CheckOutcome::Timeout(reason) => {
-                worst = worst.max(2);
-                format!("TIMEOUT({reason:?})")
-            }
-            CheckOutcome::InternalError { phase, .. } => {
-                worst = worst.max(2);
-                format!("INTERNAL({phase})")
-            }
-            CheckOutcome::CertificateMismatch { claimed, .. } => {
-                worst = worst.max(3);
-                format!("MISMATCH({claimed})")
-            }
-        };
+        let (verdict, exit) = r.report.outcome.verdict();
+        worst = worst.max(exit);
         let _ = writeln!(
             out,
             "{:<24} {:>4} site(s)  {:<18} {:>3} refinement(s)  {:?}",
@@ -575,20 +561,53 @@ pub fn render_verdicts(program: &Program, reports: &[ClusterReport]) -> (String,
         );
         if let CheckOutcome::Bug { slice, .. } = &r.report.outcome {
             for &e in slice {
-                let edge = program.edge(e);
-                let _ = writeln!(
-                    out,
-                    "    {:<16} {}",
-                    program.cfa(e.func).name(),
-                    program.fmt_op(&edge.op)
-                );
+                let _ = writeln!(out, "{BODY_INDENT}{}", render_slice_edge(program, e));
             }
         }
         if let CheckOutcome::CertificateMismatch { reason, .. } = &r.report.outcome {
-            let _ = writeln!(out, "    certificate rejected: {reason}");
+            let _ = writeln!(out, "{BODY_INDENT}certificate rejected: {reason}");
         }
     }
     (out, worst)
+}
+
+/// The line [`render_verdicts`] prints under a `BUG` header for slice
+/// edge `e` (which must be in `program`), without its indent.
+pub fn render_slice_edge(program: &Program, e: EdgeId) -> String {
+    format!(
+        "{:<16} {}",
+        program.cfa(e.func).name(),
+        program.fmt_op(&program.edge(e).op)
+    )
+}
+
+/// One cluster of a [`render_verdicts`] rendering, read back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RenderedVerdict<'a> {
+    /// The cluster's function.
+    pub func: &'a str,
+    /// Its label, as [`CheckOutcome::verdict`] names it.
+    pub label: &'a str,
+    /// The lines under the header, unindented: a `BUG`'s slice edges
+    /// ([`render_slice_edge`]), a `MISMATCH`'s reason, or none.
+    pub body: Vec<&'a str>,
+}
+
+/// Reads a [`render_verdicts`] rendering back, one entry per cluster in
+/// order; `None` if `render` is not in that format.
+pub fn parse_verdicts(render: &str) -> Option<Vec<RenderedVerdict<'_>>> {
+    let mut verdicts: Vec<RenderedVerdict<'_>> = Vec::new();
+    for line in render.lines() {
+        if let Some(body) = line.strip_prefix(BODY_INDENT) {
+            verdicts.last_mut()?.body.push(body);
+            continue;
+        }
+        // `<func> <n> site(s) <label> <n> refinement(s) <wall>`
+        let mut words = line.split_whitespace();
+        let (func, label, body) = (words.next()?, words.nth(2)?, Vec::new());
+        verdicts.push(RenderedVerdict { func, label, body });
+    }
+    Some(verdicts)
 }
 
 #[cfg(test)]
@@ -643,6 +662,66 @@ mod tests {
             };
             assert_eq!(strip(&a), strip(&b));
         }
+    }
+
+    #[test]
+    fn parse_verdicts_reads_render_verdicts_back() {
+        let session = Session::compile(SRC, "<test>").unwrap();
+        let mut reports: Vec<ClusterReport> = session
+            .check(CheckerConfig::default(), &DriverConfig::sequential())
+            .clusters
+            .into_iter()
+            .map(|c| c.cluster)
+            .collect();
+        for outcome in [
+            CheckOutcome::Timeout(crate::TimeoutReason::WallClock),
+            CheckOutcome::InternalError {
+                payload: "boom".into(),
+                phase: "reach".into(),
+            },
+            CheckOutcome::CertificateMismatch {
+                claimed: "Bug".into(),
+                reason: "empty slice".into(),
+            },
+        ] {
+            let mut r = reports[0].clone();
+            r.report.outcome = outcome;
+            reports.push(r);
+        }
+        let (render, _) = render_verdicts(session.program(), &reports);
+        let parsed = parse_verdicts(&render).expect("render_verdicts output parses");
+        assert_eq!(parsed.len(), reports.len());
+        let mut stable = Vec::new();
+        for (r, p) in reports.iter().zip(&parsed) {
+            let (label, exit) = r.report.outcome.verdict();
+            assert_eq!((p.func, p.label), (r.func_name.as_str(), label.as_str()));
+            let body: Vec<String> = match &r.report.outcome {
+                CheckOutcome::Bug { slice, .. } => slice
+                    .iter()
+                    .map(|&e| render_slice_edge(session.program(), e))
+                    .collect(),
+                CheckOutcome::CertificateMismatch { reason, .. } => {
+                    vec![format!("certificate rejected: {reason}")]
+                }
+                _ => Vec::new(),
+            };
+            assert_eq!(p.body, body, "{render}");
+            // The label mapping the certificate gate binds with agrees
+            // with the one the render was written with.
+            let kind = r.report.outcome.kind_label();
+            let is_stable = r.report.outcome.is_safe() || r.report.outcome.is_bug();
+            assert_eq!(
+                CheckOutcome::stable_kind(&label),
+                is_stable.then_some((kind.as_str(), exit))
+            );
+            if is_stable {
+                stable.push(kind);
+            }
+        }
+        stable.sort();
+        stable.dedup();
+        assert_eq!(stable, ["Bug", "Safe"], "{render}");
+        assert_eq!(parse_verdicts("    indented first line"), None);
     }
 
     #[test]

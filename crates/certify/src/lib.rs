@@ -26,9 +26,10 @@
 //!   ledger, so degraded verdicts are auditable (which budget ran out,
 //!   after how many attempts) even though they prove nothing.
 //!
-//! [`validator`] packages build + validate as a
-//! [`blastlite::ClusterValidator`] for the driver's `--validate` mode:
-//! any evidence the validator cannot confirm downgrades the verdict to
+//! Two gates share [`validate`]: [`certify`] for serialized verdicts
+//! (journal, fabric peers, `pathslice validate`), and [`validator`], a
+//! [`blastlite::ClusterValidator`] for in-process reports (`--validate`,
+//! incremental reuse) that downgrades unconfirmed verdicts to
 //! [`CheckOutcome::CertificateMismatch`] — a wrong answer is *reported*,
 //! never silently trusted. The deterministic certificate-corruption
 //! sites ([`FaultSite::CertWitness`], [`FaultSite::CertCore`],
@@ -72,8 +73,10 @@ use semantics::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
+mod gate;
 pub mod json;
 
+pub use gate::{certify, Certified, Expect, Rejection, Served};
 pub use json::{from_json, to_json, ClusterCert, JsonError, TraceFile};
 
 /// Fuel for the advisory whole-program replay of a bug witness.
@@ -558,6 +561,11 @@ fn validate_safe(analyses: &Analyses<'_>, cert: &SafeCertificate) -> Validation 
 }
 
 fn validate_degraded(cert: &DegradedCertificate, claimed: &str) -> Validation {
+    if matches!(claimed, "Safe" | "Bug") {
+        return mismatch(format!(
+            "a degraded certificate proves nothing; it cannot back a `{claimed}` verdict"
+        ));
+    }
     if cert.verdict != claimed {
         return mismatch(format!(
             "degraded certificate for `{}` attached to a `{claimed}` verdict",
@@ -765,9 +773,18 @@ mod tests {
         empty.ledger.clear();
         assert!(!validate_degraded(&empty, "Timeout(WallClock)").is_confirmed());
 
-        let mut wrong_tail = good;
+        let mut wrong_tail = good.clone();
         wrong_tail.ledger[1].outcome = "Safe".into();
         assert!(!validate_degraded(&wrong_tail, "Timeout(WallClock)").is_confirmed());
+
+        // A well-formed ledger proves nothing, so it never backs a
+        // stable verdict, however consistently it claims one.
+        let mut claims_safe = good;
+        claims_safe.verdict = "Safe".into();
+        for entry in &mut claims_safe.ledger {
+            entry.outcome = "Safe".into();
+        }
+        assert!(!validate_degraded(&claims_safe, "Safe").is_confirmed());
     }
 
     #[test]

@@ -660,31 +660,31 @@ pub fn route_until(
 }
 
 fn cmd_validate(args: &[String], out: &mut String) -> Result<i32, String> {
+    use pathslicing::certify::{certify, Expect, Rejection};
     let (file, _flags) = split_flags(args)?;
     let text = std::fs::read_to_string(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    let trace = pathslicing::certify::from_json(&text).map_err(|e| format!("{file}: {e}"))?;
-    let (program, _) = compile_source(&trace.source, &format!("{file} (embedded source)"))?;
-    let analyses = Analyses::build(&program);
+    let origin = format!("{file} (embedded source)");
+    // No expectations: audit the trace alone, reporting every cluster.
+    let audited = certify(&text, &origin, &Expect::default()).map_err(|r| match r {
+        Rejection::Uncompilable(e) => e,
+        Rejection::Unparseable(e) => format!("{file}: {e}"),
+        other => format!("{file}: {other:?}"),
+    })?;
     let mut worst = 0;
-    for c in &trace.clusters {
-        match pathslicing::certify::validate(&analyses, &c.certificate, &c.claimed) {
-            Validation::Confirmed { notes } => {
-                let _ = writeln!(out, "{:<24} {:<24} VALID", c.func_name, c.claimed);
-                for note in notes {
-                    let _ = writeln!(out, "    note: {note}");
-                }
-            }
+    for (c, result) in audited.trace.clusters.iter().zip(audited.results) {
+        let (status, notes) = match result {
+            Validation::Confirmed { notes } => ("VALID".to_owned(), notes),
             Validation::Mismatch { reason } => {
                 worst = 3;
-                let _ = writeln!(
-                    out,
-                    "{:<24} {:<24} MISMATCH: {reason}",
-                    c.func_name, c.claimed
-                );
+                (format!("MISMATCH: {reason}"), Vec::new())
             }
+        };
+        let _ = writeln!(out, "{:<24} {:<24} {status}", c.func_name, c.claimed);
+        for note in notes {
+            let _ = writeln!(out, "    note: {note}");
         }
     }
-    if trace.clusters.is_empty() {
+    if audited.trace.clusters.is_empty() {
         let _ = writeln!(out, "trace file contains no certificates");
     }
     Ok(worst)

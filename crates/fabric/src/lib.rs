@@ -34,8 +34,8 @@
 //! seen from the router.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use obs::telemetry::{prometheus_text, MetricsRing, MetricsSnapshot};
 use rt::ring::Ring;
 use rt::{CancelToken, FaultPlan, FaultSite};
-use server::wire;
+use server::{net, wire};
 
 /// Poll granularity for blocking loops (accept, reads, shutdown).
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
@@ -360,62 +360,13 @@ fn health_loop(shared: &Arc<RouterShared>) {
 /// traffic, so it speaks `pathslice-wire/v2` upstream.
 fn probe(addr: &str, timeout: Duration) -> bool {
     let frame = wire::ping_request_json_versioned("fabric-health", wire::WireVersion::V2) + "\n";
-    match exchange(addr, frame.as_bytes(), timeout, timeout) {
-        Ok(line) => matches!(
+    match net::exchange(addr, frame.as_bytes(), timeout, timeout) {
+        Ok((line, _)) => matches!(
             wire::Response::from_json(line.trim_end()),
             Ok(wire::Response::Health { ready: true, .. })
         ),
         Err(_) => false,
     }
-}
-
-/// One connect → write frame → read one line exchange with hard
-/// deadlines on both sides. Used for health probes; request relays use
-/// the pooled path in [`relay_once`].
-fn exchange(
-    addr: &str,
-    frame: &[u8],
-    connect_timeout: Duration,
-    reply_timeout: Duration,
-) -> Result<String, String> {
-    let sockaddr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("resolve {addr}: no address"))?;
-    let mut stream = TcpStream::connect_timeout(&sockaddr, connect_timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(reply_timeout));
-    stream
-        .write_all(frame)
-        .map_err(|e| format!("write {addr}: {e}"))?;
-    read_line(&mut stream, reply_timeout)
-}
-
-/// Reads one newline-terminated response off `stream` within
-/// `deadline`-from-now, in [`POLL_INTERVAL`] slices.
-fn read_line(stream: &mut TcpStream, timeout: Duration) -> Result<String, String> {
-    let deadline = Instant::now() + timeout;
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    while !buf.ends_with(b"\n") {
-        if Instant::now() >= deadline {
-            return Err("timed out waiting for response".into());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err("peer closed mid-response".into()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(format!("read: {e}")),
-        }
-    }
-    String::from_utf8(buf).map_err(|_| "response is not UTF-8".into())
 }
 
 /// Reads client frames until EOF/shutdown, answering each one. Backend
@@ -649,26 +600,19 @@ fn relay_once(
     if let Some(mut stream) = pool.remove(addr) {
         let _ = stream.set_write_timeout(Some(shared.config.reply_timeout));
         if stream.write_all(line).is_ok() {
-            if let Ok(response) = read_line(&mut stream, shared.config.reply_timeout) {
+            if let Ok(response) = net::read_line(&mut stream, shared.config.reply_timeout) {
                 pool.insert(addr.to_owned(), stream);
                 return Ok(response.into_bytes());
             }
         }
         // Stale pool entry: drop it and try one fresh connection.
     }
-    let sockaddr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("resolve {addr}: no address"))?;
-    let mut stream = TcpStream::connect_timeout(&sockaddr, shared.config.connect_timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(shared.config.reply_timeout));
-    stream
-        .write_all(line)
-        .map_err(|e| format!("write {addr}: {e}"))?;
-    let response = read_line(&mut stream, shared.config.reply_timeout)?;
+    let (response, stream) = net::exchange(
+        addr,
+        line,
+        shared.config.connect_timeout,
+        shared.config.reply_timeout,
+    )?;
     pool.insert(addr.to_owned(), stream);
     Ok(response.into_bytes())
 }

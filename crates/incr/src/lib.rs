@@ -21,7 +21,7 @@
 //! 1. **Keys are name-resolved, not id-resolved.** [`cfa_key`] hashes
 //!    edges through `Program::fmt_op` (source-level names) plus each
 //!    referenced variable's `(name, kind, length)`, never a raw
-//!    [`VarId`](cfa::VarId) or [`FuncId`] index — so keys survive the id
+//!    [`VarId`] or [`FuncId`] index — so keys survive the id
 //!    renumbering that any edit induces during re-lowering.
 //! 2. **Dependency sets are control-closed.** [`cluster_deps`] includes
 //!    not just the cluster function's callers and callees but every

@@ -18,6 +18,7 @@
 //! `server.cache_evictions` (mirrored into `obs` when tracing is on;
 //! always available from [`AnalysisCache::stats`]).
 
+use crate::lock;
 use crate::wire::ClusterVerdict;
 use blastlite::{Session, UpdateReport};
 use std::collections::HashMap;
@@ -274,13 +275,15 @@ pub struct VerdictCacheStats {
     pub capacity: usize,
 }
 
-/// One complete, certificate-backed verdict, exactly as it was served.
+/// One complete, certificate-backed verdict, exactly as it was served —
+/// the daemon's only verdict record: the verdict cache holds it, the
+/// journal persists it, and `peer_get` hands it to fabric peers.
 ///
 /// Entries exist only for *stable* results — every cluster `SAFE` or
 /// `BUG` (exit ≤ 1). Timeouts, internal errors, and mismatches are
 /// re-checked every time: they are properties of a particular run, not
 /// of the program, and they carry no validatable certificate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerdictEntry {
     /// `pathslice check` exit code (0 or 1 by construction).
     pub exit: i32,
@@ -291,7 +294,7 @@ pub struct VerdictEntry {
     /// The `pathslice-trace/v1` certificate document — what the journal
     /// persists and what a `certificate`-wanting request is answered
     /// with.
-    pub trace_json: Arc<String>,
+    pub trace_json: String,
 }
 
 struct VerdictSlot {
@@ -376,14 +379,14 @@ impl VerdictCache {
 
     /// Inserts (or replaces) a verdict, evicting LRU entries past the
     /// bound.
-    pub fn insert(&self, key: (u64, u64), entry: VerdictEntry) {
+    pub fn insert(&self, key: (u64, u64), entry: Arc<VerdictEntry>) {
         let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         inner.entries.insert(
             key,
             VerdictSlot {
-                entry: Arc::new(entry),
+                entry,
                 last_used: tick,
             },
         );
@@ -418,10 +421,6 @@ impl std::fmt::Debug for VerdictCache {
             s.len, s.capacity, s.hits, s.misses, s.evictions
         )
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 #[cfg(test)]
@@ -500,13 +499,13 @@ mod tests {
         assert_eq!(cache.stats().len, 0);
     }
 
-    fn verdict(exit: i32) -> VerdictEntry {
-        VerdictEntry {
+    fn verdict(exit: i32) -> Arc<VerdictEntry> {
+        Arc::new(VerdictEntry {
             exit,
             render: format!("main  BUG  {exit}\n"),
             clusters: Vec::new(),
-            trace_json: Arc::new("{}".into()),
-        }
+            trace_json: "{}".into(),
+        })
     }
 
     #[test]

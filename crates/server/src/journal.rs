@@ -54,12 +54,15 @@
 //! `CorruptCertificate` damages the embedded certificate so the
 //! recovery gate must reject it.
 
+use crate::cache::VerdictEntry;
+use crate::wire::{clusters_from_json, clusters_to_json};
 use obs::json::{Json, JsonError};
 use rt::{FaultKind, FaultPlan, FaultSite};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Format marker: first line of every segment file.
 pub const JOURNAL_SCHEMA: &str = "pathslice-journal/v1";
@@ -117,8 +120,9 @@ pub struct JournalStats {
     pub segments: u64,
 }
 
-/// One journaled verdict: everything needed to serve the request warm
-/// and to re-validate the verdict on replay.
+/// One journaled verdict: the served [`VerdictEntry`] under its
+/// verdict-cache key. The entry's trace is what the recovery gate
+/// re-validates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
     /// Content key of the resolved program ([`blastlite::Session::key`]).
@@ -126,17 +130,8 @@ pub struct JournalRecord {
     /// Fingerprint of the checker configuration the verdict was
     /// produced under (reducer, search order, budget, …).
     pub fingerprint: u64,
-    /// `pathslice check` exit code (0 safe, 1 bug — only complete
-    /// verdicts are journaled).
-    pub exit: i32,
-    /// Verdicts rendered exactly as `pathslice check` prints them.
-    pub render: String,
-    /// Structured per-cluster verdicts, as served on the wire:
-    /// `(func, sites, verdict, refinements, wall_us)`.
-    pub clusters: Vec<(String, u64, String, u64, u64)>,
-    /// The `pathslice-trace/v1` certificate document (embeds the
-    /// source), serialized. This is what the recovery gate validates.
-    pub trace_json: String,
+    /// The verdict, shared with the verdict cache.
+    pub entry: Arc<VerdictEntry>,
 }
 
 impl JournalRecord {
@@ -144,29 +139,13 @@ impl JournalRecord {
         // The trace is embedded as a JSON object, not a double-encoded
         // string: records stay greppable and the checksum still covers
         // every byte of it.
-        let trace = Json::parse(&self.trace_json)?;
+        let trace = Json::parse(&self.entry.trace_json)?;
         Ok(Json::Obj(vec![
             ("key".into(), Json::Str(format!("{:016x}", self.key))),
             ("fp".into(), Json::Str(format!("{:016x}", self.fingerprint))),
-            ("exit".into(), Json::Num(self.exit as i64)),
-            ("render".into(), Json::Str(self.render.clone())),
-            (
-                "clusters".into(),
-                Json::Arr(
-                    self.clusters
-                        .iter()
-                        .map(|(func, sites, verdict, refinements, wall_us)| {
-                            Json::Obj(vec![
-                                ("func".into(), Json::Str(func.clone())),
-                                ("sites".into(), Json::Num(*sites as i64)),
-                                ("verdict".into(), Json::Str(verdict.clone())),
-                                ("refinements".into(), Json::Num(*refinements as i64)),
-                                ("wall_us".into(), Json::Num(*wall_us as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("exit".into(), Json::Num(self.entry.exit as i64)),
+            ("render".into(), Json::Str(self.entry.render.clone())),
+            ("clusters".into(), clusters_to_json(&self.entry.clusters)),
             ("trace".into(), trace),
         ])
         .to_text())
@@ -180,47 +159,22 @@ impl JournalRecord {
                 .and_then(|s| u64::from_str_radix(s, 16).ok())
                 .ok_or_else(|| format!("missing hex field `{name}`"))
         };
-        let mut clusters = Vec::new();
-        for c in doc
-            .field("clusters")
-            .and_then(Json::as_arr)
-            .ok_or("missing `clusters`")?
-        {
-            let s = |n: &str| {
-                c.field(n)
-                    .and_then(Json::as_str)
-                    .map(str::to_owned)
-                    .ok_or_else(|| format!("cluster missing `{n}`"))
-            };
-            let u = |n: &str| {
-                c.field(n)
-                    .and_then(Json::as_i64)
-                    .filter(|v| *v >= 0)
-                    .map(|v| v as u64)
-                    .ok_or_else(|| format!("cluster missing `{n}`"))
-            };
-            clusters.push((
-                s("func")?,
-                u("sites")?,
-                s("verdict")?,
-                u("refinements")?,
-                u("wall_us")?,
-            ));
-        }
         Ok(JournalRecord {
             key: hex("key")?,
             fingerprint: hex("fp")?,
-            exit: doc
-                .field("exit")
-                .and_then(Json::as_i64)
-                .ok_or("missing `exit`")? as i32,
-            render: doc
-                .field("render")
-                .and_then(Json::as_str)
-                .ok_or("missing `render`")?
-                .to_owned(),
-            clusters,
-            trace_json: doc.field("trace").ok_or("missing `trace`")?.to_text(),
+            entry: Arc::new(VerdictEntry {
+                exit: doc
+                    .field("exit")
+                    .and_then(Json::as_i64)
+                    .ok_or("missing `exit`")? as i32,
+                render: doc
+                    .field("render")
+                    .and_then(Json::as_str)
+                    .ok_or("missing `render`")?
+                    .to_owned(),
+                clusters: clusters_from_json(&doc).map_err(|e| e.message)?,
+                trace_json: doc.field("trace").ok_or("missing `trace`")?.to_text(),
+            }),
         })
     }
 }
@@ -667,6 +621,7 @@ use incr::hash::fnv64;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::ClusterVerdict;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir =
@@ -675,15 +630,27 @@ mod tests {
         dir
     }
 
+    fn cluster() -> ClusterVerdict {
+        ClusterVerdict {
+            func: "main".into(),
+            sites: 1,
+            verdict: "BUG".into(),
+            refinements: 2,
+            wall_us: 1234,
+        }
+    }
+
     fn record(key: u64) -> JournalRecord {
         JournalRecord {
             key,
             fingerprint: 0xF00D,
-            exit: 1,
-            render: format!("main BUG {key}\n"),
-            clusters: vec![("main".into(), 1, "BUG".into(), 2, 1234)],
-            trace_json: "{\"schema\":\"pathslice-trace/v1\",\"source\":\"\",\"clusters\":[]}"
-                .into(),
+            entry: Arc::new(VerdictEntry {
+                exit: 1,
+                render: format!("main BUG {key}\n"),
+                clusters: vec![cluster()],
+                trace_json: "{\"schema\":\"pathslice-trace/v1\",\"source\":\"\",\"clusters\":[]}"
+                    .into(),
+            }),
         }
     }
 
@@ -695,6 +662,39 @@ mod tests {
                 ReplayItem::Torn(_) => None,
             })
             .collect()
+    }
+
+    /// `pathslice-journal/v1` bytes are a compatibility surface: a
+    /// journal written by an older daemon must replay under a newer one.
+    /// This line is what the format's first release wrote for this record.
+    #[test]
+    fn record_bytes_are_pinned() {
+        const LINE: &str = r#"J1 aed74ce695c153eb {"key":"0123456789abcdef","fp":"000000000000f00d","exit":1,"render":"main                        1 site(s)  BUG                  2 refinement(s)  1.2ms\n    main             error()\n","clusters":[{"func":"main","sites":1,"verdict":"BUG","refinements":2,"wall_us":1234}],"trace":{"version":1,"source":"global a; fn main() { if (a > 0) { error(); } }","clusters":[{"func":"main","claimed":"Bug","certificate":{"kind":"bug","path":[[0,0]],"slice":[[0,0]],"initial":[[0,1]],"havoc":[]}}]}}"#;
+        let dir = temp_dir("golden");
+        let mut journal = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let trace =
+            "{\"version\":1,\"source\":\"global a; fn main() { if (a > 0) { error(); } }\",\
+                     \"clusters\":[{\"func\":\"main\",\"claimed\":\"Bug\",\"certificate\":\
+                     {\"kind\":\"bug\",\"path\":[[0,0]],\"slice\":[[0,0]],\"initial\":[[0,1]],\
+                     \"havoc\":[]}}]}";
+        let record = JournalRecord {
+            key: 0x0123_4567_89ab_cdef,
+            fingerprint: 0xF00D,
+            entry: Arc::new(VerdictEntry {
+                exit: 1,
+                render: "main                        1 site(s)  BUG                  \
+                         2 refinement(s)  1.2ms\n    main             error()\n"
+                    .into(),
+                clusters: vec![cluster()],
+                trace_json: trace.into(),
+            }),
+        };
+        journal.append(&record).unwrap();
+        drop(journal);
+        let text = std::fs::read_to_string(segment_path(&dir, 0)).unwrap();
+        assert_eq!(text, format!("{JOURNAL_SCHEMA}\n{LINE}\n"));
+        let reopened = Journal::open(JournalConfig::new(&dir)).unwrap();
+        assert_eq!(*intact(&reopened.replay())[0], record);
     }
 
     #[test]

@@ -58,12 +58,11 @@
 
 pub mod cache;
 pub mod journal;
+pub mod net;
 mod reactor;
 pub mod wire;
 
-use blastlite::{
-    render_verdicts, CheckerConfig, DriverConfig, Reducer, RetryPolicy, SearchOrder, Session,
-};
+use blastlite::{render_verdicts, CheckerConfig, DriverConfig, Reducer, RetryPolicy, SearchOrder};
 use cache::{AnalysisCache, CacheStats, VerdictCache, VerdictCacheStats, VerdictEntry};
 use journal::{Journal, JournalConfig, JournalRecord, JournalStats, ReplayItem};
 use obs::json::Json;
@@ -74,8 +73,8 @@ use rt::ring::Ring;
 use rt::{catch_unwind_silent, panic_payload, CancelToken, FaultKind, FaultPlan, FaultSite};
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -790,6 +789,23 @@ impl Shared {
         memo.insert(raw, key);
     }
 
+    /// Makes a stable verdict warm and durable: the one write path into
+    /// the verdict cache and the journal, for fresh checks and
+    /// gate-admitted peer verdicts alike. Append failures (real or
+    /// injected) degrade durability, never serving.
+    fn store_verdict(&self, key: u64, fingerprint: u64, entry: VerdictEntry) -> Arc<VerdictEntry> {
+        let entry = Arc::new(entry);
+        self.verdicts.insert((key, fingerprint), entry.clone());
+        if let Some(j) = &self.journal {
+            let _ = lock(j).append(&JournalRecord {
+                key,
+                fingerprint,
+                entry: entry.clone(),
+            });
+        }
+        entry
+    }
+
     /// Hands a finished check back to the reactor.
     fn complete(&self, completion: Completion) {
         lock(&self.completions).push_back(completion);
@@ -833,30 +849,20 @@ impl Shared {
                 // warm accounting or the LRU clock. The asking node
                 // validates the certificate — this side only hands over
                 // the evidence.
-                match self.verdicts.peek((key, fingerprint)) {
-                    Some(entry) => {
-                        self.peer_served.fetch_add(1, Ordering::Relaxed);
-                        obs::counter("fabric.peer_served").inc();
-                        wire::Response::PeerVerdict {
-                            id,
-                            hit: true,
-                            exit: entry.exit,
-                            render: entry.render.clone(),
-                            clusters: entry.clusters.clone(),
-                            trace: Some(
-                                Json::parse(&entry.trace_json)
-                                    .expect("journaled traces are valid JSON"),
-                            ),
-                        }
-                    }
-                    None => wire::Response::PeerVerdict {
-                        id,
-                        hit: false,
-                        exit: 0,
-                        render: String::new(),
-                        clusters: Vec::new(),
-                        trace: None,
-                    },
+                let entry = self.verdicts.peek((key, fingerprint));
+                if entry.is_some() {
+                    self.peer_served.fetch_add(1, Ordering::Relaxed);
+                    obs::counter("fabric.peer_served").inc();
+                }
+                let entry = entry.as_deref();
+                wire::Response::PeerVerdict {
+                    id,
+                    hit: entry.is_some(),
+                    exit: entry.map_or(0, |e| e.exit),
+                    render: entry.map(|e| e.render.clone()).unwrap_or_default(),
+                    clusters: entry.map(|e| e.clusters.clone()).unwrap_or_default(),
+                    trace: entry
+                        .map(|e| Json::parse(&e.trace_json).expect("stored traces are valid JSON")),
                 }
             }
             wire::Incoming::Check(req) => wire::Response::Error {
@@ -974,9 +980,19 @@ impl Server {
         let workers: Vec<JoinHandle<()>> = (0..jobs)
             .filter_map(|i| {
                 let shared = shared.clone();
+                // Counted before the thread exists, so a `ping` sent the
+                // moment `start` returns sees every spawned worker; a
+                // failed spawn drops the guard with the closure.
+                let mut alive = Some(Alive::new(&shared));
                 std::thread::Builder::new()
                     .name(format!("pathslice-worker-{i}"))
-                    .spawn(move || supervised(&shared, "worker", || worker_loop(&shared, i)))
+                    .spawn(move || {
+                        supervised(&shared, "worker", || {
+                            // A restart after a panic counts itself back in.
+                            let _alive = alive.take().unwrap_or_else(|| Alive::new(&shared));
+                            worker_loop(&shared, i)
+                        })
+                    })
                     .ok()
             })
             .collect();
@@ -1151,14 +1167,9 @@ fn supervised(shared: &Arc<Shared>, role: &str, mut body: impl FnMut()) {
 /// lives inside the journal.
 ///
 /// **The recovery invariant: no unvalidated verdict is ever served from
-/// a recovered journal.** Every intact record must (1) carry a trace
-/// whose embedded source recompiles, (2) recompile to the *same*
-/// content key the record claims — a journal copied across programs, or
-/// a collision, is rejected wholesale — and (3) have every cluster
-/// certificate re-validate against its claimed verdict through
-/// `certify::validate`. Anything less downgrades to a plain miss: the
-/// verdict is simply re-derived on first request, which costs latency,
-/// never soundness.
+/// a recovered journal.** Every intact record passes [`admit`]; anything
+/// less downgrades to a plain miss: the verdict is simply re-derived on
+/// first request, which costs latency, never soundness.
 fn recover_journal(
     journal: &mut Journal,
     cache: &AnalysisCache,
@@ -1172,13 +1183,15 @@ fn recover_journal(
             ReplayItem::Intact(record) => record,
             ReplayItem::Torn(_) => continue, // counted by the journal
         };
-        match admit_recovered(&record, journal, cache, verdicts) {
+        let corrupt = journal.replay_corrupts(record.key);
+        match admit(cache, record.key, &record.entry, "<journal>", corrupt) {
             Ok(()) => {
                 recovered += 1;
                 obs::counter("journal.recovered").inc();
+                verdicts.insert((record.key, record.fingerprint), record.entry.clone());
                 live.push(record);
             }
-            Err(_reason) => {
+            Err(_rejection) => {
                 rejected += 1;
                 obs::counter("journal.rejected").inc();
             }
@@ -1191,85 +1204,41 @@ fn recover_journal(
     (recovered, rejected)
 }
 
-/// The certificate gate for one intact record. On `Ok` the verdict is
-/// warm in both caches; on `Err` it has been admitted nowhere.
-fn admit_recovered(
-    record: &JournalRecord,
-    journal: &Journal,
+/// The certificate gate for a verdict this daemon did not derive:
+/// recovered from the journal or fetched from a fabric peer. The entry
+/// passes [`certify::certify`] — its trace recompiles to `key`, every
+/// served cluster name, label, rendered line, and the exit code match
+/// the trace's claims, and every certificate re-validates. Nothing in
+/// the entry is trusted as received. On `Ok` the recompiled session is
+/// warm in the analysis cache and the entry may be served; on `Err`
+/// nothing was admitted anywhere.
+fn admit(
     cache: &AnalysisCache,
-    verdicts: &VerdictCache,
-) -> Result<(), String> {
-    let mut trace =
-        certify::from_json(&record.trace_json).map_err(|e| format!("unparseable trace: {e}"))?;
-    let session = Arc::new(
-        Session::compile(&trace.source, "<journal>")
-            .map_err(|e| format!("embedded source does not compile: {e}"))?,
-    );
-    if session.key() != record.key {
-        return Err(format!(
-            "content key mismatch: record says {:016x}, source compiles to {:016x}",
-            record.key,
-            session.key()
-        ));
-    }
-    if trace.clusters.len() != record.clusters.len() {
-        return Err("cluster count disagrees between record and trace".into());
-    }
-    if journal.replay_corrupts(record.key) {
-        // Injected certificate corruption (chaos drills): damage the
-        // evidence with a saturating plan, then push it through the
-        // same validator a real bit-flip would meet. Whatever the
-        // validator says, the record is rejected — the injection
-        // contract is deterministic counters, and a certificate that
-        // happens to be immune to the corruption schedule must not make
-        // the drill flaky.
-        let plan = FaultPlan::new(0)
-            .inject(FaultSite::CertWitness, FaultKind::CorruptCertificate, 1.0)
-            .inject(FaultSite::CertCore, FaultKind::CorruptCertificate, 1.0)
-            .inject(FaultSite::CertSlice, FaultKind::CorruptCertificate, 1.0);
-        for cluster in &mut trace.clusters {
-            certify::corrupt(&mut cluster.certificate, &plan);
-            if let certify::Validation::Mismatch { reason } =
-                certify::validate(session.analyses(), &cluster.certificate, &cluster.claimed)
-            {
-                return Err(format!("injected corruption detected: {reason}"));
-            }
-        }
-        return Err("injected corruption (certificate immune; rejected by policy)".into());
-    }
-    for cluster in &trace.clusters {
-        match certify::validate(session.analyses(), &cluster.certificate, &cluster.claimed) {
-            certify::Validation::Confirmed { .. } => {}
-            certify::Validation::Mismatch { reason } => {
-                return Err(format!(
-                    "certificate for `{}` does not re-validate: {reason}",
-                    cluster.func_name
-                ));
-            }
-        }
-    }
-    cache.admit(record.key, session);
-    verdicts.insert(
-        (record.key, record.fingerprint),
-        VerdictEntry {
-            exit: record.exit,
-            render: record.render.clone(),
-            clusters: record
-                .clusters
-                .iter()
-                .map(
-                    |(func, sites, verdict, refinements, wall_us)| wire::ClusterVerdict {
-                        func: func.clone(),
-                        sites: *sites,
-                        verdict: verdict.clone(),
-                        refinements: *refinements,
-                        wall_us: *wall_us,
-                    },
-                )
-                .collect(),
-            trace_json: Arc::new(record.trace_json.clone()),
+    key: u64,
+    entry: &VerdictEntry,
+    origin: &str,
+    corrupt: bool,
+) -> Result<(), certify::Rejection> {
+    let clusters: Vec<(&str, &str)> = entry
+        .clusters
+        .iter()
+        .map(|c| (c.func.as_str(), c.verdict.as_str()))
+        .collect();
+    let served = certify::Served {
+        exit: entry.exit,
+        render: &entry.render,
+        clusters: &clusters,
+    };
+    let certified = certify::certify(
+        &entry.trace_json,
+        origin,
+        &certify::Expect {
+            key: Some(key),
+            served: Some(served),
+            corrupt,
         },
-    );
+    )?;
+    cache.admit(key, Arc::new(certified.session));
     Ok(())
 }
 
@@ -1306,18 +1275,26 @@ fn journal_stats_json(j: &JournalStats) -> Json {
     ])
 }
 
-fn worker_loop(shared: &Arc<Shared>, home: usize) {
-    // Liveness accounting survives panics (the guard drops during the
-    // unwind that supervision catches) — `ping` readiness counts actual
-    // workers, not spawned threads.
-    struct Alive<'a>(&'a AtomicUsize);
-    impl Drop for Alive<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::Relaxed);
-        }
+/// One worker's share of `workers_alive`, released on drop. The guard
+/// drops during the unwind that supervision catches, so a panicked
+/// worker leaves the count until its restart — `ping` readiness counts
+/// serving workers, not spawned threads.
+struct Alive(Arc<Shared>);
+
+impl Alive {
+    fn new(shared: &Arc<Shared>) -> Alive {
+        shared.workers_alive.fetch_add(1, Ordering::Relaxed);
+        Alive(shared.clone())
     }
-    shared.workers_alive.fetch_add(1, Ordering::Relaxed);
-    let _alive = Alive(&shared.workers_alive);
+}
+
+impl Drop for Alive {
+    fn drop(&mut self) {
+        self.0.workers_alive.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+fn worker_loop(shared: &Arc<Shared>, home: usize) {
     while let Some(job) = shared.shards.pop(home) {
         // Tee the request's span tree out of the thread-local buffers:
         // the worker has no span open outside `process`, so everything
@@ -1422,44 +1399,43 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
     shared.remember_key(&req.source, session.key());
 
     // With a journal attached, a completed verdict for this exact
-    // (program, configuration) pair may already be warm — either from
-    // an earlier request this run, or recovered (and certificate-
-    // re-validated) from the journal across a restart. Serve it
-    // verbatim: no check runs, the render is byte-identical to what was
-    // first served.
+    // (program, configuration) pair may already be warm — from an
+    // earlier request this run, or recovered (and certificate-
+    // re-validated) from the journal across a restart. On a local miss
+    // the fabric member that owns this content key may hold one:
+    // fetching and re-validating it is far cheaper than a cold check,
+    // and a failed fetch (or a failed gate) falls through to the cold
+    // path below. A warm verdict is served verbatim: no check runs, the
+    // render is byte-identical to what was first served.
     let journaling = shared.journal.is_some();
     let fingerprint = config_fingerprint(req, shared.config.default_time_budget);
-    if journaling {
-        if let Some(entry) = shared.verdicts.get((session.key(), fingerprint)) {
-            let wall_us = job.admitted.elapsed().as_micros() as u64;
-            shared.telemetry.request_us_warm.record(wall_us);
-            let certificate = req
-                .want_certificate
-                .then(|| Json::parse(&entry.trace_json).expect("journaled traces are valid JSON"));
-            let stats = req.want_stats.then(|| stats_json(shared));
-            return wire::Response::Ok {
-                id: req.id.clone(),
-                cache_hit,
-                warm: true,
-                exit: entry.exit,
-                render: entry.render.clone(),
-                clusters: entry.clusters.clone(),
-                wall_us,
-                queue_us,
-                certificate,
-                stats,
-            };
-        }
-        // Still a miss locally — but the fabric member that owns this
-        // content key may hold a journaled verdict. Fetching and
-        // re-validating its certificate is far cheaper than a cold
-        // check; a failed fetch (or a failed gate) just falls through
-        // to the cold path below.
-        if let Some(response) =
-            peer_tier(job, shared, session.key(), fingerprint, cache_hit, queue_us)
-        {
-            return response;
-        }
+    let warm = if journaling {
+        shared
+            .verdicts
+            .get((session.key(), fingerprint))
+            .or_else(|| peer_tier(job, shared, session.key(), fingerprint))
+    } else {
+        None
+    };
+    if let Some(entry) = warm {
+        let wall_us = job.admitted.elapsed().as_micros() as u64;
+        shared.telemetry.request_us_warm.record(wall_us);
+        let certificate = req
+            .want_certificate
+            .then(|| Json::parse(&entry.trace_json).expect("stored traces are valid JSON"));
+        let stats = req.want_stats.then(|| stats_json(shared));
+        return wire::Response::Ok {
+            id: req.id.clone(),
+            cache_hit,
+            warm: true,
+            exit: entry.exit,
+            render: entry.render.clone(),
+            clusters: entry.clusters.clone(),
+            wall_us,
+            queue_us,
+            certificate,
+            stats,
+        };
     }
 
     let mut config = CheckerConfig {
@@ -1521,7 +1497,7 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
         .map(|c| wire::ClusterVerdict {
             func: c.cluster.func_name.clone(),
             sites: c.cluster.n_sites as u64,
-            verdict: verdict_label(&c.cluster.report.outcome),
+            verdict: c.cluster.report.outcome.verdict().0,
             refinements: c.cluster.report.refinements as u64,
             wall_us: c.cluster.report.wall.as_micros() as u64,
         })
@@ -1551,40 +1527,16 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
         None
     };
     if journaling && complete {
-        let trace_json = trace_json.expect("trace built for every journaled verdict");
-        let record = JournalRecord {
-            key: session.key(),
+        shared.store_verdict(
+            session.key(),
             fingerprint,
-            exit,
-            render: render.clone(),
-            clusters: clusters
-                .iter()
-                .map(|c| {
-                    (
-                        c.func.clone(),
-                        c.sites,
-                        c.verdict.clone(),
-                        c.refinements,
-                        c.wall_us,
-                    )
-                })
-                .collect(),
-            trace_json: trace_json.clone(),
-        };
-        shared.verdicts.insert(
-            (session.key(), fingerprint),
             VerdictEntry {
                 exit,
                 render: render.clone(),
                 clusters: clusters.clone(),
-                trace_json: Arc::new(trace_json),
+                trace_json: trace_json.expect("trace built for every journaled verdict"),
             },
         );
-        if let Some(j) = &shared.journal {
-            // Append failures (real or injected) degrade durability,
-            // never serving: the response below goes out regardless.
-            let _ = lock(j).append(&record);
-        }
     }
 
     let stats = req.want_stats.then(|| stats_json(shared));
@@ -1603,28 +1555,19 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
     }
 }
 
-/// How long a peer fetch may take end to end (connect, send, read one
-/// line). A slow or dead owner must cost less than the cold check the
-/// fetch is trying to save; past this the node simply checks locally.
+/// How long each step of a peer fetch may take (connect; send and read
+/// one line). A slow or dead owner must cost less than the cold check
+/// the fetch is trying to save; past this the node simply checks locally.
 const PEER_FETCH_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// The fabric peer verdict tier: on a local verdict-cache miss, ask the
-/// ring owner of this content key for its journaled verdict, and serve
-/// it warm **only** after the certificate gate passes — the journal
-/// recovery invariant extended across the wire. Anything else (owner is
-/// self, owner unreachable, owner misses, torn frame, failed gate)
-/// returns `None` and the caller runs a local cold check; the tier can
-/// degrade latency, never correctness and never availability.
-fn peer_tier(
-    job: &Job,
-    shared: &Shared,
-    key: u64,
-    fingerprint: u64,
-    cache_hit: bool,
-    queue_us: u64,
-) -> Option<wire::Response> {
-    let req = &job.request;
-    let hex_key = format!("{key:016x}");
+/// ring owner of this content key for its journaled verdict, and admit
+/// it **only** after the certificate gate passes — the journal recovery
+/// invariant extended across the wire. Anything else (owner is self,
+/// owner unreachable, owner misses, torn frame, failed gate) returns
+/// `None` and the caller runs a local cold check; the tier can degrade
+/// latency, never correctness and never availability.
+fn peer_tier(job: &Job, shared: &Shared, key: u64, fingerprint: u64) -> Option<Arc<VerdictEntry>> {
     let owner_addr = {
         let peers = lock(&shared.peers);
         let peers = peers.as_ref()?;
@@ -1634,255 +1577,82 @@ fn peer_tier(
         }
         owner.addr.clone()
     };
+    let count = |local: &AtomicU64, name: &'static str| {
+        local.fetch_add(1, Ordering::Relaxed);
+        obs::counter(name).inc();
+    };
     // Injected fabric faults, keyed by the program's content key so a
     // chaos drill can predict exactly which fetches are damaged.
-    let fault = shared.config.faults.fire(FaultSite::PeerFetch, &hex_key);
+    let fault = shared
+        .config
+        .faults
+        .fire(FaultSite::PeerFetch, &format!("{key:016x}"));
     match fault {
         Some(FaultKind::Stall) => {
             // A slow peer: burn half the fetch budget before even
             // connecting. The fetch still has to fit the overall
             // timeout, so a stalled owner degrades to a miss, bounded.
-            shared.wire_faults.fetch_add(1, Ordering::Relaxed);
-            obs::counter("server.wire_faults").inc();
+            count(&shared.wire_faults, "server.wire_faults");
             std::thread::sleep(PEER_FETCH_TIMEOUT / 2);
         }
         Some(FaultKind::IoError) => {
             // The fetch fails outright — owner unreachable.
-            shared.wire_faults.fetch_add(1, Ordering::Relaxed);
-            obs::counter("server.wire_faults").inc();
-            shared.peer_misses.fetch_add(1, Ordering::Relaxed);
-            obs::counter("fabric.peer_misses").inc();
+            count(&shared.wire_faults, "server.wire_faults");
+            count(&shared.peer_misses, "fabric.peer_misses");
             return None;
         }
-        Some(FaultKind::TornWrite) => {
-            shared.wire_faults.fetch_add(1, Ordering::Relaxed);
-            obs::counter("server.wire_faults").inc();
-            // Applied to the fetched line below.
-        }
+        // Applied to the fetched line below.
+        Some(FaultKind::TornWrite) => count(&shared.wire_faults, "server.wire_faults"),
         _ => {}
     }
-    let frame = wire::peer_get_request_json(&req.id, key, fingerprint);
-    let line = match fetch_peer_line(&owner_addr, &frame) {
-        Ok(mut line) => {
-            if fault == Some(FaultKind::TornWrite) {
-                // The peer's response is torn mid-frame: the parse
-                // below must fail and downgrade to a miss.
-                line.truncate(line.len() / 2);
-            }
-            line
+    // Unpooled and short-deadlined: a dead or wedged owner costs one
+    // timeout before the downgrade to a cold check.
+    let frame = wire::peer_get_request_json(&job.request.id, key, fingerprint) + "\n";
+    let fetched = net::exchange(
+        &owner_addr,
+        frame.as_bytes(),
+        PEER_FETCH_TIMEOUT,
+        PEER_FETCH_TIMEOUT,
+    )
+    .map(|(mut line, _)| {
+        if fault == Some(FaultKind::TornWrite) {
+            // The peer's response is torn mid-frame: the parse below
+            // must fail and downgrade to a miss.
+            line.truncate(line.len() / 2);
         }
-        Err(_) => {
-            shared.peer_misses.fetch_add(1, Ordering::Relaxed);
-            obs::counter("fabric.peer_misses").inc();
-            return None;
-        }
-    };
-    let (exit, render, clusters, trace) = match wire::Response::from_json(line.trim_end()) {
-        Ok(wire::Response::PeerVerdict {
-            hit: true,
-            exit,
-            render,
-            clusters,
-            trace: Some(trace),
-            ..
-        }) => (exit, render, clusters, trace),
-        _ => {
-            // A miss frame, a torn/foreign frame, or a hit without its
-            // trace: nothing servable either way.
-            shared.peer_misses.fetch_add(1, Ordering::Relaxed);
-            obs::counter("fabric.peer_misses").inc();
-            return None;
-        }
-    };
-    let trace_json = trace.to_text();
-    let corrupt = fault == Some(FaultKind::CorruptCertificate);
-    match admit_peer(
-        shared,
-        key,
-        fingerprint,
+        wire::Response::from_json(line.trim_end())
+    });
+    let Ok(Ok(wire::Response::PeerVerdict {
+        hit: true,
         exit,
-        &render,
-        &clusters,
-        &trace_json,
-        corrupt,
-    ) {
-        Ok(()) => {
-            shared.peer_accepted.fetch_add(1, Ordering::Relaxed);
-            obs::counter("fabric.peer_accepted").inc();
-            let wall_us = job.admitted.elapsed().as_micros() as u64;
-            shared.telemetry.request_us_warm.record(wall_us);
-            let certificate = req.want_certificate.then(|| trace.clone());
-            let stats = req.want_stats.then(|| stats_json(shared));
-            Some(wire::Response::Ok {
-                id: req.id.clone(),
-                cache_hit,
-                warm: true,
-                exit,
-                render,
-                clusters,
-                wall_us,
-                queue_us,
-                certificate,
-                stats,
-            })
-        }
-        Err(_reason) => {
-            shared.peer_rejected.fetch_add(1, Ordering::Relaxed);
-            obs::counter("fabric.peer_rejected").inc();
-            None // downgrade: the local cold check derives the truth
-        }
-    }
-}
-
-/// One bounded `peer_get` round trip over a fresh connection: connect,
-/// send, read one line, everything under [`PEER_FETCH_TIMEOUT`]. The
-/// transport is deliberately unpooled and short-deadlined — a dead or
-/// wedged owner costs at most one timeout before the caller downgrades
-/// to a cold check; it can never wedge a worker.
-fn fetch_peer_line(addr: &str, frame: &str) -> Result<String, String> {
-    let sock = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("no address for {addr}"))?;
-    let deadline = Instant::now() + PEER_FETCH_TIMEOUT;
-    let mut stream = TcpStream::connect_timeout(&sock, PEER_FETCH_TIMEOUT)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(PEER_FETCH_TIMEOUT));
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut line = frame.to_owned();
-    line.push('\n');
-    stream
-        .write_all(line.as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    while !buf.ends_with(b"\n") {
-        if Instant::now() > deadline {
-            return Err("peer fetch timed out".into());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err("peer closed mid-response".into()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(format!("recv: {e}")),
-        }
-    }
-    String::from_utf8(buf).map_err(|_| "peer response is not UTF-8".into())
-}
-
-/// The certificate gate for a fetched peer verdict — the recovery
-/// invariant extended across the wire. The verdict is served (and made
-/// durable locally) **iff** (1) the trace's embedded source recompiles,
-/// (2) it recompiles to the content key the request resolved to (a
-/// confused or malicious peer answering for a different program is
-/// rejected wholesale), (3) the frame's cluster count matches the
-/// trace's, and (4) every cluster certificate re-validates through
-/// `certify::validate` against the *recompiled* session. Nothing in the
-/// peer's frame is trusted as received.
-#[allow(clippy::too_many_arguments)]
-fn admit_peer(
-    shared: &Shared,
-    key: u64,
-    fingerprint: u64,
-    exit: i32,
-    render: &str,
-    clusters: &[wire::ClusterVerdict],
-    trace_json: &str,
-    corrupt: bool,
-) -> Result<(), String> {
-    if exit > 1 {
-        return Err("peer verdict is not stable (exit > 1)".into());
-    }
-    let mut trace =
-        certify::from_json(trace_json).map_err(|e| format!("unparseable trace: {e}"))?;
-    let session = Arc::new(
-        Session::compile(&trace.source, "<peer>")
-            .map_err(|e| format!("embedded source does not compile: {e}"))?,
-    );
-    if session.key() != key {
-        return Err(format!(
-            "content key mismatch: request resolves to {:016x}, peer's source compiles to {:016x}",
-            key,
-            session.key()
-        ));
-    }
-    if trace.clusters.len() != clusters.len() {
-        return Err("cluster count disagrees between frame and trace".into());
-    }
-    if corrupt {
-        // Injected fabric corruption (chaos drills): damage the fetched
-        // evidence with a saturating plan, push it through the same
-        // validator a real in-flight bit-flip would meet, and reject
-        // regardless — the same deterministic-counters policy as the
-        // journal replay gate.
-        let plan = FaultPlan::new(0)
-            .inject(FaultSite::CertWitness, FaultKind::CorruptCertificate, 1.0)
-            .inject(FaultSite::CertCore, FaultKind::CorruptCertificate, 1.0)
-            .inject(FaultSite::CertSlice, FaultKind::CorruptCertificate, 1.0);
-        for cluster in &mut trace.clusters {
-            certify::corrupt(&mut cluster.certificate, &plan);
-            if let certify::Validation::Mismatch { reason } =
-                certify::validate(session.analyses(), &cluster.certificate, &cluster.claimed)
-            {
-                return Err(format!("injected corruption detected: {reason}"));
-            }
-        }
-        return Err("injected corruption (certificate immune; rejected by policy)".into());
-    }
-    for cluster in &trace.clusters {
-        match certify::validate(session.analyses(), &cluster.certificate, &cluster.claimed) {
-            certify::Validation::Confirmed { .. } => {}
-            certify::Validation::Mismatch { reason } => {
-                return Err(format!(
-                    "certificate for `{}` does not re-validate: {reason}",
-                    cluster.func_name
-                ));
-            }
-        }
+        render,
+        clusters,
+        trace: Some(trace),
+        ..
+    })) = fetched
+    else {
+        // An unreachable owner, a miss frame, a torn/foreign frame, or a
+        // hit without its trace: nothing servable either way.
+        count(&shared.peer_misses, "fabric.peer_misses");
+        return None;
+    };
+    let entry = VerdictEntry {
+        exit,
+        render,
+        clusters,
+        trace_json: trace.to_text(),
+    };
+    let corrupt = fault == Some(FaultKind::CorruptCertificate);
+    if let Err(_rejection) = admit(&shared.cache, key, &entry, "<peer>", corrupt) {
+        count(&shared.peer_rejected, "fabric.peer_rejected");
+        return None; // downgrade: the local cold check derives the truth
     }
     // Gate passed: the verdict is as trustworthy as a locally-derived
-    // one. Warm both caches and journal it — the key now survives a
-    // restart of *this* node too, and future peers can fetch it from
-    // here.
-    shared.cache.admit(key, session);
-    shared.verdicts.insert(
-        (key, fingerprint),
-        VerdictEntry {
-            exit,
-            render: render.to_owned(),
-            clusters: clusters.to_vec(),
-            trace_json: Arc::new(trace_json.to_owned()),
-        },
-    );
-    if let Some(j) = &shared.journal {
-        let record = JournalRecord {
-            key,
-            fingerprint,
-            exit,
-            render: render.to_owned(),
-            clusters: clusters
-                .iter()
-                .map(|c| {
-                    (
-                        c.func.clone(),
-                        c.sites,
-                        c.verdict.clone(),
-                        c.refinements,
-                        c.wall_us,
-                    )
-                })
-                .collect(),
-            trace_json: trace_json.to_owned(),
-        };
-        let _ = lock(j).append(&record);
-    }
-    Ok(())
+    // one. Warm and journal it — the key now survives a restart of
+    // *this* node too, and future peers can fetch it from here.
+    let entry = shared.store_verdict(key, fingerprint, entry);
+    count(&shared.peer_accepted, "fabric.peer_accepted");
+    Some(entry)
 }
 
 /// Fingerprint of the checker configuration a request resolves to —
@@ -1904,17 +1674,6 @@ fn config_fingerprint(req: &wire::Request, default_budget: Duration) -> u64 {
         )
         .as_bytes(),
     )
-}
-
-fn verdict_label(outcome: &blastlite::CheckOutcome) -> String {
-    use blastlite::CheckOutcome;
-    match outcome {
-        CheckOutcome::Safe => "SAFE".into(),
-        CheckOutcome::Bug { .. } => "BUG".into(),
-        CheckOutcome::Timeout(reason) => format!("TIMEOUT({reason:?})"),
-        CheckOutcome::InternalError { phase, .. } => format!("INTERNAL({phase})"),
-        CheckOutcome::CertificateMismatch { claimed, .. } => format!("MISMATCH({claimed})"),
-    }
 }
 
 /// The `stats` payload: server accounting plus the server-owned latency

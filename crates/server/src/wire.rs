@@ -741,8 +741,9 @@ impl Response {
 }
 
 /// Serializes structured cluster verdicts (shared by `ok` and
-/// `peer_verdict` frames, which must agree byte-for-byte on this shape).
-fn clusters_to_json(clusters: &[ClusterVerdict]) -> Json {
+/// `peer_verdict` frames and by journal records, which must agree
+/// byte-for-byte on this shape).
+pub(crate) fn clusters_to_json(clusters: &[ClusterVerdict]) -> Json {
     Json::Arr(
         clusters
             .iter()
@@ -759,8 +760,9 @@ fn clusters_to_json(clusters: &[ClusterVerdict]) -> Json {
     )
 }
 
-/// Parses the `clusters` array out of a response document.
-fn clusters_from_json(doc: &Json) -> Result<Vec<ClusterVerdict>, JsonError> {
+/// Parses the `clusters` array out of a response document or journal
+/// record.
+pub(crate) fn clusters_from_json(doc: &Json) -> Result<Vec<ClusterVerdict>, JsonError> {
     let bad = |m: String| JsonError { message: m, at: 0 };
     let mut clusters = Vec::new();
     for c in doc

@@ -377,6 +377,95 @@ fn corrupt_peer_certificates_are_rejected_and_rechecked_locally() {
     }
 }
 
+/// A peer that answers with an honest BUG certificate but serves SAFE
+/// next to it (exit 0, SAFE labels and render) must be rejected: the
+/// gate binds every served field to the trace's claims, so the trace
+/// alone validating is not enough.
+#[test]
+fn a_peer_serving_what_its_certificate_does_not_prove_is_rejected() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+
+    // An honest verdict and certificate, from a node outside the fabric.
+    let honest = start(ServerConfig::default());
+    let mut client = Client::connect(honest.local_addr()).unwrap();
+    let mut req = wire::Request::new(BUGGY);
+    req.want_certificate = true;
+    let wire::Response::Ok {
+        exit,
+        render,
+        mut clusters,
+        certificate: Some(trace),
+        ..
+    } = client.request(&req).unwrap()
+    else {
+        panic!("expected an ok response with a certificate");
+    };
+    assert_eq!(exit, 1);
+    let cold_render = strip_timing(&render);
+    honest.shutdown();
+
+    // The forger: answers one `peer_get` with the honest trace and a
+    // SAFE verdict beside it.
+    for c in &mut clusters {
+        c.verdict = "SAFE".into();
+    }
+    let forged = wire::Response::PeerVerdict {
+        id: "forged".into(),
+        hit: true,
+        exit: 0,
+        render: render
+            .lines()
+            .filter(|l| !l.starts_with(' '))
+            .map(|l| l.replacen("BUG ", "SAFE", 1) + "\n")
+            .collect(),
+        clusters,
+        trace: Some(trace),
+    }
+    .to_json();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let forger_addr = listener.local_addr().unwrap().to_string();
+    let forger = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut line = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        (&stream)
+            .write_all(format!("{forged}\n").as_bytes())
+            .unwrap();
+    });
+
+    // Enroll the asker with the forger as the ring owner of BUGGY.
+    let asker = start(ServerConfig {
+        journal_dir: Some(journal_dir("peer-forged")),
+        ..ServerConfig::default()
+    });
+    let asker_addr = asker.local_addr().to_string();
+    let members = (0..)
+        .map(|i| {
+            vec![
+                ("asker".to_owned(), asker_addr.clone()),
+                (format!("forger{i}"), forger_addr.clone()),
+            ]
+        })
+        .find(|m| owner_of(BUGGY, m).starts_with("forger"))
+        .unwrap();
+    asker.set_peers("asker", &members);
+
+    let mut to_asker = Client::connect(asker.local_addr()).unwrap();
+    let (_, warm, exit, render) =
+        ok_response(to_asker.request(&wire::Request::new(BUGGY)).unwrap());
+    forger.join().unwrap();
+    assert!(!warm, "a forged peer verdict must not serve warm");
+    assert_eq!(exit, 1, "the local re-check answers BUG");
+    assert_eq!(strip_timing(&render), cold_render);
+    let stats = asker.stats();
+    assert_eq!(stats.peer_rejected, 1, "{stats}");
+    assert_eq!(stats.peer_accepted, 0, "{stats}");
+    asker.shutdown();
+}
+
 #[test]
 fn peer_misses_downgrade_to_local_checks() {
     // Nobody journaled anything yet: the first request on a non-owner

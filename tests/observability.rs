@@ -49,8 +49,6 @@ const JOB_INVARIANT: &[&str] = &[
     "slice.edges_kept",
     "slice.edges_dropped",
     "slice.early_unsat_stops",
-    "reach.post_cache_hits",
-    "reach.post_cache_misses",
     "reach.states",
     "checker.rounds",
     "driver.retries",

@@ -8,8 +8,10 @@
 //! reproducible).
 
 use pathslicing::rt::{FaultKind, FaultPlan, FaultSite};
+use server::journal::{Journal, JournalConfig, ReplayItem};
 use server::{wire, Client, Server, ServerConfig};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 const BUGGY: &str = r#"
@@ -304,6 +306,68 @@ fn corrupted_journal_certificates_are_rejected_never_served() {
     assert!(!warm, "a rejected record must never serve warm");
     assert_eq!(exit, 1, "the cold re-check still finds the bug");
     assert_eq!(strip_timing(&render), cold_render, "verdict parity");
+    server.shutdown();
+}
+
+/// A record whose certificates honestly prove `main` BUG, but whose
+/// served fields were rewritten to SAFE with exit 0, must not be served:
+/// the recovery gate binds every served field to the trace's claims.
+/// Compaction re-checksums the forged record, so the journal layer sees
+/// it intact and only the gate stands in the way.
+#[test]
+fn a_record_serving_what_its_trace_does_not_prove_is_rejected() {
+    let dir = journal_dir("served-flip");
+
+    // Life 1: journal an honest BUG verdict.
+    let server = start(ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (_, exit, render) = ok_response(client.request(&wire::Request::new(BUGGY)).unwrap());
+    assert_eq!(exit, 1);
+    let cold_render = strip_timing(&render);
+    drop(client);
+    server.shutdown();
+
+    // Between lives: serve SAFE next to the same trace.
+    let mut journal = Journal::open(JournalConfig::new(&dir)).unwrap();
+    let mut forged = Vec::new();
+    for item in journal.replay() {
+        let ReplayItem::Intact(mut record) = item else {
+            panic!("life 1 left a torn record: {item:?}");
+        };
+        let entry = Arc::make_mut(&mut record.entry);
+        entry.exit = 0;
+        entry.render = entry
+            .render
+            .lines()
+            .filter(|l| !l.starts_with(' '))
+            .map(|l| l.replacen("BUG ", "SAFE", 1) + "\n")
+            .collect();
+        for c in &mut entry.clusters {
+            c.verdict = "SAFE".into();
+        }
+        forged.push(record);
+    }
+    assert_eq!(forged.len(), 1);
+    journal.compact(&forged);
+    drop(journal);
+
+    // Life 2: the forged record is rejected and the request runs cold.
+    let server = start(ServerConfig {
+        journal_dir: Some(dir),
+        ..ServerConfig::default()
+    });
+    let journal = server.stats().journal.expect("journal stats");
+    assert_eq!(journal.rejected, 1, "the forged record must be rejected");
+    assert_eq!(journal.recovered, 0);
+    assert_eq!(journal.torn, 0, "the forged record is checksummed");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (warm, exit, render) = ok_response(client.request(&wire::Request::new(BUGGY)).unwrap());
+    assert!(!warm, "a rejected record must never serve warm");
+    assert_eq!(exit, 1, "the cold re-check answers BUG");
+    assert_eq!(strip_timing(&render), cold_render);
     server.shutdown();
 }
 
