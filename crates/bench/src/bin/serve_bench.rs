@@ -77,24 +77,21 @@
 //! function body. Gates: every edit routes through `Session::update`,
 //! invalidates exactly one cluster, reuses every untouched cluster's
 //! certificate-gated verdict (`incr.verdict_reused`), renders
-//! byte-identical to a cold batch check, and the warm walls total less
+//! byte-identical to a cold batch check (modulo the wall column —
+//! refinement counts included), and the warm walls total less
 //! than the cold ones; a chaos pass corrupting every `IncrReuse`
 //! candidate must reject them all and still serve correct verdicts.
 //! With `--json` the run writes `BENCH_incr.json` (`warm` / `cold`
 //! rows with the reuse counters).
 //!
 //! `--fabric <n>` runs the multi-node drill instead of a load run:
-//! `n` journaled, peer-enrolled daemons behind a `fabric::Router`,
-//! mixed repeat-heavy load through the router, and a
-//! `SIGKILL`-equivalent crash of the ring owner of the hottest key
-//! mid-drain. Asserts the router sheds to the survivors with **zero**
-//! failed requests after retry and **zero** wrong verdicts — every
-//! response byte-identical to a single-node control — then runs the
-//! corrupt-peer-certificate chaos pass: with every fetched certificate
-//! damaged in flight, `fabric.peer_rejected` must rise and every
-//! rejected key must re-check locally to the correct verdict. With
-//! `--json` the run writes `BENCH_fabric.json` (`fabric` and `control`
-//! rows, same latency columns as the serve report).
+//! `n` journaled daemons behind a `fabric::Router`, mixed repeat-heavy
+//! load through the router, and a `SIGKILL`-equivalent crash of the
+//! ring owner of the hottest key mid-drain. Asserts the router sheds to
+//! the survivors with **zero** failed requests after retry and **zero**
+//! wrong verdicts — every response byte-identical to a single-node
+//! control. With `--json` the run writes `BENCH_fabric.json` (`fabric`
+//! and `control` rows, same latency columns as the serve report).
 
 use obs::json::Json;
 use rand::rngs::StdRng;
@@ -164,14 +161,20 @@ fn os_threads() -> Option<u64> {
         .and_then(|v| v.trim().parse().ok())
 }
 
-/// Drops the trailing wall-time column (`...  12.3ms`) from each render
-/// line: it is real elapsed time, the only part of a verdict that may
-/// legitimately differ between a warm replay and a cold re-check.
+/// Drops the trailing wall-time column (`...  12.3ms`) from each
+/// verdict line: it is real elapsed time, the only part of a verdict
+/// that may legitimately differ between a warm replay and a cold
+/// re-check. The lines under a verdict (a `BUG`'s witness slice) have
+/// no such column and are kept verbatim: a reused or recovered slice
+/// must resolve to exactly the cold check's operations.
 fn strip_timing(s: &str) -> Vec<String> {
     s.lines()
         .map(|l| {
-            l.rsplit_once("  ")
-                .map_or(l.to_owned(), |(v, _)| v.to_owned())
+            if l.starts_with(' ') {
+                l.to_owned()
+            } else {
+                l.rsplit_once("  ").map_or(l, |(v, _)| v).to_owned()
+            }
         })
         .collect()
 }
@@ -185,10 +188,11 @@ fn strip_timing(s: &str) -> Vec<String> {
 /// recovered (each re-validated through its certificate before it may
 /// serve), none rejected, no torn tail (the crash landed between
 /// appends, and appends are single `write_all`s). It then resends all
-/// `k` programs: the first half must come back `warm` — served from the
-/// recovered verdict cache without re-running the check — and identical
+/// `k` programs: the first half must come back `warm` — every cluster
+/// served from the recovered verdict memo, no check re-run — and identical
 /// to the pre-crash verdicts; the second half was never journaled and
-/// must run cold. Phase 3 is the control: a fresh journal-less daemon
+/// must run cold. Warm responses are counted by `server.verdict_hits`.
+/// Phase 3 is the control: a fresh journal-less daemon
 /// checks all `k` programs from scratch, and every phase-2 verdict must
 /// match it byte-for-byte (modulo the wall-time column).
 fn drill_restart(seed: u64, requests: usize, server_jobs: usize, retry: u32) {
@@ -281,7 +285,7 @@ fn drill_restart(seed: u64, requests: usize, server_jobs: usize, retry: u32) {
         }
     }
     assert_eq!(
-        stats.verdicts.hits, half as u64,
+        stats.verdict_hits, half as u64,
         "drill: warm-hit accounting"
     );
 
@@ -451,10 +455,10 @@ fn drill_pipeline(
         })
         .collect();
 
-    // A journal makes repeats *verdict*-cache hits: the priming pass
-    // journals each verdict, and every pipelined request is then served
-    // warm — stored render, no re-check — which is the tier this drill
-    // stresses.
+    // Every pipelined request repeats a primed program, so each is
+    // served warm from its session's verdict memo — no re-check — which
+    // is the tier this drill stresses; the journal rides along as in
+    // production.
     let journal_dir = flag("--journal").map(PathBuf::from).unwrap_or_else(|| {
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -643,25 +647,6 @@ fn edit_leaf(i: usize, version: u64) -> String {
     }
 }
 
-/// Byte-parity modulo *effort* for the edit drill: the wall column is
-/// real elapsed time and the refinement count is CEGAR effort —
-/// predicate seeding exists precisely to lower it for re-checked
-/// clusters — so a verdict line keeps its name, site count, and
-/// verdict class and drops the rest. Witness slice lines (and any
-/// other line) are kept verbatim: a reused `BUG` verdict's slice must
-/// resolve to exactly the cold check's operations.
-fn strip_effort(s: &str) -> Vec<String> {
-    s.lines()
-        .map(|l| match l.find(" site(s)") {
-            Some(p) => {
-                let end = (p + " site(s)  ".len() + 18).min(l.len());
-                l[..end].trim_end().to_owned()
-            }
-            None => l.to_owned(),
-        })
-        .collect()
-}
-
 /// The `--drill edit` program: `n` leaves behind an `else`-nested
 /// dispatcher. The nesting matters — a *sequential* `if` chain would
 /// put every earlier call on the path to every later one, so each
@@ -699,7 +684,8 @@ fn edit_program(versions: &[u64]) -> String {
 /// cluster invalidated, `incr.verdict_reused` rises by the unchanged
 /// cluster count, `incr.fn_hits` rises by the unedited function count,
 /// and the render is byte-identical (modulo the wall column) to a cold
-/// batch check of the same edited source. Across the phase, warm
+/// batch check of the same edited source: re-checked clusters run
+/// exactly as a cold check runs them, so refinement counts match too. Across the phase, warm
 /// daemon latency must total strictly less than the cold batch walls —
 /// the reuse has to be visible in wall-clock, not just counters.
 /// Phase 3 is the chaos pass: a fresh daemon with every `IncrReuse`
@@ -720,8 +706,8 @@ fn drill_edit(
     let mut versions: Vec<u64> = (0..n as u64).map(|i| i + 1).collect();
 
     // Ground truth for one source: the batch `Session::compile` →
-    // `check` → `render_verdicts` pipeline (no store, no gate, no
-    // seeds), timed — the cold wall the warm path must beat.
+    // `check` → `render_verdicts` pipeline (no reuse, no gate), timed —
+    // the cold wall the warm path must beat.
     let control = |src: &str| -> (i32, Vec<String>, Duration) {
         let t = Instant::now();
         let session =
@@ -736,7 +722,7 @@ fn drill_edit(
         let wall = t.elapsed();
         let reports = report.into_cluster_reports();
         let (render, exit) = blastlite::render_verdicts(session.program(), &reports);
-        (exit, strip_effort(&render), wall)
+        (exit, strip_timing(&render), wall)
     };
 
     let journal_root = flag("--journal").map(PathBuf::from).unwrap_or_else(|| {
@@ -766,7 +752,7 @@ fn drill_edit(
         let sent_at = Instant::now();
         match client.request(&request) {
             Ok(wire::Response::Ok { exit, render, .. }) => {
-                (exit, strip_effort(&render), sent_at.elapsed())
+                (exit, strip_timing(&render), sent_at.elapsed())
             }
             Ok(other) => panic!("drill edit `{}`: unexpected response {other:?}", request.id),
             Err(e) => panic!("drill edit `{}`: {e}", request.id),
@@ -981,17 +967,13 @@ struct FabricDrill {
 /// `--fabric <n>`: the multi-node failover drill.
 ///
 /// Phase 1 is the single-node control: every program checked cold on a
-/// plain daemon, verdicts recorded. Phase 2 stands up `n` journaled,
-/// peer-enrolled daemons behind a router and replays a repeat-heavy
+/// plain daemon, verdicts recorded. Phase 2 stands up `n` journaled
+/// daemons behind a router and replays a repeat-heavy
 /// schedule through it from `concurrency` client threads; at the
 /// half-way barrier the ring owner of the hottest program is crashed
 /// (`SIGKILL` shape — no drain, no flush) and the load continues.
-/// Every response must be `ok` and byte-identical to the control, the
-/// router must record the failover, and no surviving node may have
-/// accepted an unvalidated peer verdict. Phase 3 re-runs a fleet with
-/// every peer-fetched certificate corrupted in flight: the gate must
-/// reject every fetch (`fabric.peer_rejected` > 0) and each rejected
-/// key must re-check locally to the control verdict.
+/// Every response must be `ok` and byte-identical to the control, and
+/// the router must record the failover without shedding.
 fn drill_fabric(opts: FabricDrill) {
     use fabric::{Router, RouterConfig};
     use rt::ring::Ring;
@@ -1060,26 +1042,23 @@ fn drill_fabric(opts: FabricDrill) {
     drop(control_client);
     control_server.shutdown();
 
-    // Phase 2: the fleet — n journaled members, peer-enrolled, router
-    // in front.
+    // Phase 2: the fleet — n journaled members, router in front.
     let journal_root = {
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_nanos());
         std::env::temp_dir().join(format!("pathslice-fabric-{}-{nanos}", std::process::id()))
     };
-    let start_member = |i: usize, faults: rt::FaultPlan| -> Server {
-        Server::start(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            jobs: server_jobs,
-            journal_dir: Some(journal_root.join(format!("n{i}"))),
-            faults,
-            ..ServerConfig::default()
-        })
-        .expect("bind fabric member")
-    };
     let mut servers: Vec<Option<Server>> = (0..nodes)
-        .map(|i| Some(start_member(i, rt::FaultPlan::default())))
+        .map(|i| {
+            let server = Server::start(ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                jobs: server_jobs,
+                journal_dir: Some(journal_root.join(format!("n{i}"))),
+                ..ServerConfig::default()
+            });
+            Some(server.expect("bind fabric member"))
+        })
         .collect();
     let members: Vec<(String, String)> = servers
         .iter()
@@ -1091,9 +1070,6 @@ fn drill_fabric(opts: FabricDrill) {
             )
         })
         .collect();
-    for (i, s) in servers.iter().enumerate() {
-        s.as_ref().unwrap().set_peers(&format!("n{i}"), &members);
-    }
     let router = Router::start(RouterConfig {
         addr: "127.0.0.1:0".into(),
         members: members.clone(),
@@ -1207,75 +1183,9 @@ fn drill_fabric(opts: FabricDrill) {
         router_stats.shed, 0,
         "fabric drill: no request may be shed: {router_stats}"
     );
-    let mut peer_accepted = 0;
-    let mut peer_rejected = 0;
-    let survivor_stats: Vec<server::ServerStats> = servers
-        .iter_mut()
-        .filter_map(Option::take)
-        .map(Server::shutdown)
-        .collect();
-    for s in &survivor_stats {
-        peer_accepted += s.peer_accepted;
-        peer_rejected += s.peer_rejected;
+    for s in servers.iter_mut().filter_map(Option::take) {
+        s.shutdown();
     }
-    assert_eq!(
-        peer_rejected, 0,
-        "fabric drill: no healthy peer certificate may fail re-validation"
-    );
-
-    // Phase 3: corrupt-peer chaos. Every fetched certificate is damaged
-    // in flight; the gate must reject each one and re-check locally.
-    let plan = rt::FaultPlan::new(seed ^ 0xC0DE).inject(
-        rt::FaultSite::PeerFetch,
-        rt::FaultKind::CorruptCertificate,
-        1.0,
-    );
-    let chaos_root = journal_root.join("chaos");
-    let chaos: Vec<Server> = (0..3)
-        .map(|i| {
-            Server::start(ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                jobs: server_jobs,
-                journal_dir: Some(chaos_root.join(format!("c{i}"))),
-                faults: plan.clone(),
-                ..ServerConfig::default()
-            })
-            .expect("bind chaos member")
-        })
-        .collect();
-    let chaos_members: Vec<(String, String)> = chaos
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (format!("c{i}"), s.local_addr().to_string()))
-        .collect();
-    for (i, s) in chaos.iter().enumerate() {
-        s.set_peers(&format!("c{i}"), &chaos_members);
-    }
-    let owner = Ring::new(chaos_members.iter().cloned())
-        .owner(hot_key)
-        .expect("all up")
-        .name
-        .clone();
-    let owner_idx: usize = owner[1..].parse().unwrap();
-    let asker_idx = (owner_idx + 1) % 3;
-    let mut to_owner =
-        Client::connect_retrying(chaos[owner_idx].local_addr(), retry).expect("connect owner");
-    check(&mut to_owner, 0, "chaos-journal".into());
-    let mut to_asker =
-        Client::connect_retrying(chaos[asker_idx].local_addr(), retry).expect("connect asker");
-    let (exit, render) = check(&mut to_asker, 0, "chaos-ask".into());
-    assert_eq!(
-        (exit, &render),
-        (control[0].0, &control[0].1),
-        "fabric drill: the rejected key must re-check locally to the control verdict"
-    );
-    drop(to_owner);
-    drop(to_asker);
-    let rejected: u64 = chaos.into_iter().map(|s| s.shutdown().peer_rejected).sum();
-    assert!(
-        rejected > 0,
-        "fabric drill: corrupting every fetched certificate must reject at least one"
-    );
 
     if json {
         let mut rep = bench::BenchReport::new("fabric", bench::scale_name(scale));
@@ -1294,9 +1204,6 @@ fn drill_fabric(opts: FabricDrill) {
                     ("failovers".to_owned(), router_stats.failovers as i64),
                     ("down_marks".to_owned(), router_stats.down_marks as i64),
                     ("shed".to_owned(), router_stats.shed as i64),
-                    ("peer_accepted".to_owned(), peer_accepted as i64),
-                    ("peer_rejected".to_owned(), peer_rejected as i64),
-                    ("chaos_peer_rejected".to_owned(), rejected as i64),
                 ],
             ),
             ("control", Vec::new(), control_elapsed, Vec::new()),
@@ -1342,8 +1249,7 @@ fn drill_fabric(opts: FabricDrill) {
 
     println!(
         "fabric drill: OK ({k} request(s) over {nodes} node(s), {victim} crashed mid-drain, \
-         {} failover(s), 0 shed, 0 wrong verdict(s); corrupt-peer pass rejected {rejected} \
-         fetch(es), all re-checked locally)",
+         {} failover(s), 0 shed, 0 wrong verdict(s))",
         router_stats.failovers + router_stats.down_marks,
     );
 }

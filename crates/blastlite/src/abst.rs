@@ -79,11 +79,6 @@ impl PredicatePool {
         self.add_inner(p, scope)
     }
 
-    /// The predicates currently in the pool.
-    pub fn predicates(&self) -> &[CBool] {
-        &self.preds
-    }
-
     /// Number of predicates.
     pub fn len(&self) -> usize {
         self.preds.len()

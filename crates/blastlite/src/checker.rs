@@ -3,7 +3,7 @@
 use crate::abst::PredicatePool;
 use crate::reach::{reachable_with, ReachResult, SearchOrder};
 use crate::refine::mine_predicates;
-use cfa::{CBool, EdgeId, FuncId, Loc, Op, Path};
+use cfa::{EdgeId, FuncId, Loc, Op, Path};
 use dataflow::Analyses;
 use lia::{Formula, SatResult, Solver};
 use rt::{Budget, Interrupt};
@@ -277,12 +277,6 @@ pub struct CheckReport {
     pub n_predicates: usize,
     /// Abstract states explored, summed over all reachability runs.
     pub abstract_states: usize,
-    /// The final predicate pool itself. An incremental re-check seeds a
-    /// neighbouring cluster's fresh CEGAR run with these
-    /// ([`Checker::check_seeded`]) so it converges in fewer rounds;
-    /// seeding is sound because predicates only refine the abstraction,
-    /// never the verdict.
-    pub predicates: Vec<CBool>,
 }
 
 /// The CEGAR model checker.
@@ -309,27 +303,10 @@ impl<'a> Checker<'a> {
     /// solver's inner loops, reachability expansion, and the slicer's
     /// backward pass.
     pub fn check_under(&self, targets: &[Loc], outer: &Budget) -> CheckReport {
-        self.check_seeded(targets, outer, &[])
-    }
-
-    /// [`Checker::check_under`] with the predicate pool pre-seeded.
-    ///
-    /// `seeds` are predicates mined by a previous check of a related
-    /// program version (an unchanged neighbour cluster's final pool).
-    /// Seeding is a pure warm-start: predicates only split abstract
-    /// states more finely, so the verdict is unchanged — but a seeded
-    /// run can skip the refinement rounds that would rediscover them.
-    /// Seeds naming variables that no longer exist must be remapped (or
-    /// dropped) by the caller before they get here; `add_scoped`
-    /// re-derives locality in this program's terms.
-    pub fn check_seeded(&self, targets: &[Loc], outer: &Budget, seeds: &[CBool]) -> CheckReport {
         let program = self.analyses.program();
         let start = Instant::now();
         let budget = outer.child(self.config.time_budget);
         let mut pool = PredicatePool::new();
-        for p in seeds {
-            pool.add_scoped(program, p.clone());
-        }
         let mut traces = Vec::new();
         let mut refinements = 0usize;
         // A single trace formula must never eat the whole check budget
@@ -354,7 +331,6 @@ impl<'a> Checker<'a> {
                     wall: start.elapsed(),
                     n_predicates: $pool.len(),
                     abstract_states,
-                    predicates: $pool.predicates().to_vec(),
                 }
             };
         }

@@ -31,7 +31,7 @@ use crate::checker::{
     CheckOutcome, CheckReport, Checker, CheckerConfig, ClusterReport, Reducer, ReducerSliceOptions,
     TimeoutReason,
 };
-use cfa::{CBool, FuncId, Loc, Program};
+use cfa::{FuncId, Loc, Program};
 use dataflow::Analyses;
 use rt::{
     catch_unwind_silent, panic_payload, Budget, CancelToken, FaultKind, FaultPlan, FaultSite,
@@ -324,39 +324,28 @@ pub fn run_clusters_with(
     config: CheckerConfig,
     driver: &DriverConfig,
 ) -> DriverReport {
-    let program = analyses.program();
-    let subset: Vec<(FuncId, Vec<CBool>)> = program
-        .cfas()
-        .iter()
-        .filter(|c| !c.error_locs().is_empty())
-        .map(|c| (c.func(), Vec::new()))
-        .collect();
-    run_clusters_seeded(analyses, config, driver, &subset)
+    let subset: Vec<FuncId> = analyses.program().cfas().iter().map(|c| c.func()).collect();
+    run_cluster_subset(analyses, config, driver, &subset)
 }
 
-/// [`run_clusters_with`] restricted to an explicit subset of clusters,
-/// each with optional predicate seeds for its CEGAR run
-/// ([`Checker::check_seeded`]). The incremental session uses this to
-/// re-run only the clusters an edit invalidated, warm-started with the
-/// predicates their previous verdicts were refined against.
-///
-/// `subset` entries are `(function, seeds)`; functions without error
-/// locations are skipped (their clusters do not exist). Results come
-/// back in `subset` order.
-pub fn run_clusters_seeded(
+/// [`run_clusters_with`] restricted to the clusters of `subset`: the
+/// incremental session re-runs only the clusters it could not reuse.
+/// Functions without error locations are skipped (their clusters do not
+/// exist); results come back in `subset` order.
+pub(crate) fn run_cluster_subset(
     analyses: &Analyses<'_>,
     config: CheckerConfig,
     driver: &DriverConfig,
-    subset: &[(FuncId, Vec<CBool>)],
+    subset: &[FuncId],
 ) -> DriverReport {
     let t0 = Instant::now();
     let program = analyses.program();
-    let clusters: Vec<(FuncId, String, Vec<Loc>, &[CBool])> = subset
+    let clusters: Vec<(FuncId, String, Vec<Loc>)> = subset
         .iter()
-        .filter(|(f, _)| !program.cfa(*f).error_locs().is_empty())
-        .map(|(f, seeds)| {
-            let c = program.cfa(*f);
-            (*f, c.name().to_owned(), c.error_locs().to_vec(), &seeds[..])
+        .filter(|&&f| !program.cfa(f).error_locs().is_empty())
+        .map(|&f| {
+            let c = program.cfa(f);
+            (f, c.name().to_owned(), c.error_locs().to_vec())
         })
         .collect();
     let jobs = driver.jobs.max(1).min(clusters.len().max(1));
@@ -369,8 +358,8 @@ pub fn run_clusters_seeded(
         if i >= clusters.len() {
             break;
         }
-        let (func, name, locs, seeds) = &clusters[i];
-        let (report, attempts) = run_cluster(analyses, &config, driver, name, locs, seeds);
+        let (func, name, locs) = &clusters[i];
+        let (report, attempts) = run_cluster(analyses, &config, driver, name, locs);
         let mut cluster = DriverClusterReport {
             cluster: ClusterReport {
                 func: *func,
@@ -411,7 +400,7 @@ pub fn run_clusters_seeded(
                         // outside its panic-catching region; report it
                         // as the cluster's outcome instead of sinking
                         // the whole batch.
-                        let (func, name, locs, _) = &clusters[i];
+                        let (func, name, locs) = &clusters[i];
                         DriverClusterReport {
                             cluster: ClusterReport {
                                 func: *func,
@@ -429,7 +418,6 @@ pub fn run_clusters_seeded(
                                     wall: Duration::ZERO,
                                     n_predicates: 0,
                                     abstract_states: 0,
-                                    predicates: Vec::new(),
                                 },
                             },
                             attempts: Vec::new(),
@@ -471,13 +459,12 @@ fn run_cluster(
     driver: &DriverConfig,
     name: &str,
     targets: &[Loc],
-    seeds: &[CBool],
 ) -> (CheckReport, Vec<Attempt>) {
     let mut attempts = Vec::new();
     let mut attempt = 0usize;
     loop {
         let cfg = driver.retry.config_for(base, attempt);
-        let report = run_attempt(analyses, &cfg, driver, name, targets, seeds);
+        let report = run_attempt(analyses, &cfg, driver, name, targets);
         attempts.push(Attempt {
             attempt,
             time_budget: cfg.time_budget,
@@ -500,7 +487,6 @@ fn run_attempt(
     driver: &DriverConfig,
     name: &str,
     targets: &[Loc],
-    seeds: &[CBool],
 ) -> CheckReport {
     let _span = obs::span!("attempt", "cluster {name}");
     let t0 = Instant::now();
@@ -524,7 +510,6 @@ fn run_attempt(
         wall: t0.elapsed(),
         n_predicates: 0,
         abstract_states: 0,
-        predicates: Vec::new(),
     };
     let result = catch_unwind_silent(|| {
         const GATES: [(FaultSite, &str); 4] = [
@@ -565,7 +550,7 @@ fn run_attempt(
             }
         }
         phase.set("check");
-        Checker::new(analyses, *cfg).check_seeded(targets, &outer, seeds)
+        Checker::new(analyses, *cfg).check_under(targets, &outer)
     });
     obs::histogram("driver.attempt_us").observe(t0.elapsed().as_micros() as u64);
     match result {
@@ -583,7 +568,6 @@ fn run_attempt(
                 wall: t0.elapsed(),
                 n_predicates: 0,
                 abstract_states: 0,
-                predicates: Vec::new(),
             }
         }
     }

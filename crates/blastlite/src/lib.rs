@@ -55,11 +55,11 @@ pub use checker::{
     ReducerSliceOptions, RefutationRound, TimeoutReason, TraceRecord,
 };
 pub use driver::{
-    run_clusters, run_clusters_seeded, run_clusters_with, Attempt, ClusterValidator,
-    DriverClusterReport, DriverConfig, DriverReport, DriverSummary, RetryPolicy,
+    run_clusters, run_clusters_with, Attempt, ClusterValidator, DriverClusterReport, DriverConfig,
+    DriverReport, DriverSummary, RetryPolicy,
 };
 pub use reach::SearchOrder;
 pub use session::{
-    parse_verdicts, render_slice_edge, render_verdicts, ClusterDeps, RenderedVerdict, ReuseOutcome,
-    Session, UpdateReport,
+    config_fingerprint, parse_verdicts, render_slice_edge, render_verdicts, ClusterDeps,
+    RenderedVerdict, ReuseOutcome, Session, UpdateReport,
 };

@@ -22,17 +22,23 @@
 //!   edit invalidate* and what [`Session::check_incremental`] consults
 //!   to reuse a prior cluster verdict without re-running its check.
 //!
-//! Verdict reuse is **certificate-gated**: a stored verdict is
-//! transplanted only when a caller-supplied [`ClusterValidator`]
-//! (normally `certify::validator`) re-validates its evidence against the
-//! *current* analyses. No gate ⇒ no reuse. A stale or corrupt entry
-//! therefore costs warmth (the cluster re-runs cold), never correctness.
+//! Each cluster's memo entry is keyed by its `dep_key` *and* the
+//! [`config_fingerprint`] of the checker configuration it was derived
+//! under: the same cluster checked without slicing, depth-first, or
+//! under another budget may carry different evidence, so it is a
+//! different entry. Verdict reuse is **certificate-gated**: a stored
+//! verdict is transplanted only when a caller-supplied
+//! [`ClusterValidator`] (normally `certify::validator`) re-validates its
+//! evidence against the *current* analyses. No gate ⇒ no reuse. A stale
+//! or corrupt entry therefore costs warmth (the cluster re-runs cold),
+//! never correctness.
 
 use crate::checker::{CheckOutcome, CheckerConfig, ClusterReport, RefutationRound};
 use crate::driver::{
-    run_clusters_seeded, ClusterValidator, DriverClusterReport, DriverConfig, DriverReport,
+    run_cluster_subset, ClusterValidator, DriverClusterReport, DriverConfig, DriverReport,
+    RetryPolicy,
 };
-use cfa::{CBool, EdgeId, FuncId, Program};
+use cfa::{EdgeId, FuncId, Program};
 use dataflow::{Analyses, BuildReuse};
 use rt::{FaultKind, FaultSite};
 use std::collections::HashMap;
@@ -58,12 +64,46 @@ pub struct ClusterDeps {
     pub dep_key: u64,
 }
 
-/// A memoized cluster verdict, addressed by the [`incr::dep_key`] it was
-/// produced under.
+/// A memoized cluster verdict, addressed by the [`incr::dep_key`] and
+/// the [`config_fingerprint`] it was produced under.
 #[derive(Debug, Clone)]
 struct StoredCluster {
     dep_key: u64,
+    fingerprint: u64,
     report: DriverClusterReport,
+}
+
+/// Fingerprint of the configuration a check runs under — the second
+/// half of a stored verdict's memo key, and the `fp` of its journal
+/// record. Covers everything that can change a verdict or its evidence:
+/// the whole [`CheckerConfig`] (reducer, search order, time budget,
+/// refinement and state bounds, predicate scoping), the retry ladder,
+/// and whether a validator is attached. A run's deadline, cancellation
+/// token, worker count and fault plan are properties of one call, not
+/// of its result, and are left out.
+pub fn config_fingerprint(config: &CheckerConfig, driver: &DriverConfig) -> u64 {
+    let CheckerConfig {
+        reducer,
+        max_refinements,
+        max_states,
+        time_budget,
+        search_order,
+        scoped_predicates,
+    } = config;
+    let RetryPolicy {
+        max_retries,
+        budget_factor,
+        budget_cap,
+    } = driver.retry;
+    let text = format!(
+        "reducer={reducer:?} order={search_order:?} budget_us={} refinements={max_refinements} \
+         states={max_states} scoped={scoped_predicates} retries={max_retries} \
+         factor={budget_factor} cap_us={} validate={}",
+        time_budget.as_micros(),
+        budget_cap.as_micros(),
+        driver.validator.is_some()
+    );
+    incr::hash::fnv64(text.as_bytes())
 }
 
 /// What [`Session::update`] reused from the previous session.
@@ -78,7 +118,8 @@ pub struct UpdateReport {
     /// Names of functions whose bodies the edit changed.
     pub changed_functions: Vec<String>,
     /// Clusters whose stored verdicts were carried into the new session
-    /// (their `dep_key`s were untouched by the edit).
+    /// (their `dep_key`s were untouched by the edit), each still under
+    /// the fingerprint it was produced with.
     pub carried_clusters: usize,
     /// Clusters the edit invalidated (their dependency set contains a
     /// changed function, or they are new).
@@ -98,9 +139,6 @@ pub struct ReuseOutcome {
     pub cert_rejected: usize,
     /// Clusters actually re-run.
     pub recomputed: usize,
-    /// Predicate seeds handed to the re-run clusters (union of reused
-    /// clusters' final pools).
-    pub seeds: usize,
 }
 
 /// A compiled program with long-lived analyses and a per-cluster verdict
@@ -125,8 +163,9 @@ pub struct Session {
     fn_keys: Vec<u64>,
     /// Per-cluster dependency sets and memo keys, in [`FuncId`] order.
     clusters: Vec<ClusterDeps>,
-    /// Stored verdicts by cluster root, each tagged with the `dep_key`
-    /// it was produced under.
+    /// Stored verdicts by cluster root, one per cluster, each tagged
+    /// with the `dep_key` and configuration fingerprint it was produced
+    /// under.
     store: Mutex<HashMap<FuncId, StoredCluster>>,
 }
 
@@ -151,8 +190,8 @@ impl Session {
     /// The content key `compile(src, ..)` would produce, without paying
     /// for lowering or analysis — what a cache consults before deciding
     /// whether to build a session at all. Identical to the journal
-    /// record key and the fabric's `peer_get` routing key by
-    /// construction ([`incr::hash::ast_key`]).
+    /// record key and the fabric router's ring key by construction
+    /// ([`incr::hash::ast_key`]).
     ///
     /// # Errors
     ///
@@ -196,9 +235,8 @@ impl Session {
 
     /// Rebuilds the session for an edited source, reusing every
     /// derivation-graph node the edit did not invalidate: unchanged
-    /// CFAs, their dataflow fixpoints, and the stored verdicts (plus
-    /// refinement predicates) of clusters whose [`incr::dep_key`]s are
-    /// untouched.
+    /// CFAs, their dataflow fixpoints, and the stored verdicts of
+    /// clusters whose [`incr::dep_key`]s are untouched.
     ///
     /// Falls back to a cold [`Session::compile`] — reported via
     /// [`UpdateReport::cold`] — when the old session has no shape or the
@@ -265,25 +303,9 @@ impl Session {
             };
             // Equal dep_keys make every member CFA structurally
             // identical, so the report's locations, edges, and slices
-            // transplant verbatim. Only the predicate pool references
-            // VarIds, which renumber on re-lowering: re-join them by
-            // name, dropping any that no longer resolve (costs warmth,
-            // never correctness — seeds only refine the abstraction).
-            let mut report = s.report.clone();
-            report.cluster.report.predicates = report
-                .cluster
-                .report
-                .predicates
-                .iter()
-                .filter_map(|p| incr::remap_bool(&old.program, pref, p))
-                .collect();
-            store.insert(
-                c.func,
-                StoredCluster {
-                    dep_key: c.dep_key,
-                    report,
-                },
-            );
+            // transplant verbatim, under the fingerprint they were
+            // produced with.
+            store.insert(c.func, s.clone());
             carried += 1;
         }
         drop(old_store);
@@ -349,31 +371,31 @@ impl Session {
     /// reuse requires the certificate gate of
     /// [`Session::check_incremental`].
     pub fn check(&self, config: CheckerConfig, driver: &DriverConfig) -> DriverReport {
-        self.check_incremental(config, driver, None, false).0
+        self.check_incremental(config, driver, None).0
     }
 
     /// [`Session::check`] with certificate-gated verdict reuse.
     ///
-    /// For each cluster whose stored verdict's `dep_key` matches the
-    /// current graph, the verdict is a *candidate*: `gate` re-validates
-    /// its evidence against the current analyses (after the
+    /// For each cluster whose stored verdict matches both its current
+    /// `dep_key` and the [`config_fingerprint`] of `config` and
+    /// `driver`, the verdict is a *candidate*: `gate` re-validates its
+    /// evidence against the current analyses (after the
     /// [`FaultSite::IncrReuse`] chaos hook has had its chance to corrupt
     /// the candidate), and only a confirmed candidate is transplanted.
-    /// Rejected or unmatched clusters re-run; with `seed_predicates`
-    /// set, their fresh CEGAR runs are warm-started with the union of
-    /// the reused clusters' refinement predicates.
+    /// Rejected or unmatched clusters re-run cold, exactly as
+    /// [`Session::check`] would run them.
     ///
     /// `gate: None` disables reuse entirely (every cluster re-runs),
     /// keeping the no-gate path byte-identical to the pre-incremental
-    /// driver.
+    /// driver. Either way every stable verdict is stored for later runs.
     pub fn check_incremental(
         &self,
         config: CheckerConfig,
         driver: &DriverConfig,
         gate: Option<&ClusterValidator>,
-        seed_predicates: bool,
     ) -> (DriverReport, ReuseOutcome) {
         let t0 = Instant::now();
+        let fingerprint = config_fingerprint(&config, driver);
         let mut outcome = ReuseOutcome::default();
         let mut reused: HashMap<FuncId, DriverClusterReport> = HashMap::new();
         let mut to_run: Vec<FuncId> = Vec::new();
@@ -382,6 +404,7 @@ impl Session {
             for c in &self.clusters {
                 let stored = store.get(&c.func).filter(|s| {
                     s.dep_key == c.dep_key
+                        && s.fingerprint == fingerprint
                         && matches!(
                             s.report.cluster.report.outcome,
                             CheckOutcome::Safe | CheckOutcome::Bug { .. }
@@ -417,25 +440,8 @@ impl Session {
             }
         }
 
-        let seeds: Vec<CBool> = if seed_predicates {
-            let mut seeds: Vec<CBool> = Vec::new();
-            for r in reused.values() {
-                for p in &r.cluster.report.predicates {
-                    if !seeds.contains(p) {
-                        seeds.push(p.clone());
-                    }
-                }
-            }
-            seeds
-        } else {
-            Vec::new()
-        };
-        outcome.seeds = seeds.len();
         outcome.recomputed = to_run.len();
-
-        let subset: Vec<(FuncId, Vec<CBool>)> =
-            to_run.iter().map(|&f| (f, seeds.clone())).collect();
-        let fresh = run_clusters_seeded(&self.analyses, config, driver, &subset);
+        let fresh = run_cluster_subset(&self.analyses, config, driver, &to_run);
         let jobs = fresh.jobs;
         let mut fresh_iter = fresh.clusters.into_iter();
         let clusters: Vec<DriverClusterReport> = self
@@ -460,6 +466,7 @@ impl Session {
                         c.func,
                         StoredCluster {
                             dep_key: c.dep_key,
+                            fingerprint,
                             report: r.clone(),
                         },
                     );
@@ -479,6 +486,35 @@ impl Session {
             },
             outcome,
         )
+    }
+
+    /// Stores cluster verdicts this session did not derive in the memo
+    /// under `fingerprint`, as if a check under that configuration had
+    /// produced them: journal recovery fills a recompiled session from
+    /// the trace the certificate gate admitted. Like every stored
+    /// verdict, each is served only after [`Session::check_incremental`]'s
+    /// gate re-validates it. Reports that are not `SAFE`/`BUG`, or whose
+    /// function has no cluster here, are skipped.
+    pub fn store_certified(&self, fingerprint: u64, reports: Vec<DriverClusterReport>) {
+        let mut store = self.store.lock().unwrap_or_else(|p| p.into_inner());
+        for report in reports {
+            let cluster = self.clusters.iter().find(|c| c.func == report.cluster.func);
+            let stable = matches!(
+                report.cluster.report.outcome,
+                CheckOutcome::Safe | CheckOutcome::Bug { .. }
+            );
+            if let (Some(c), true) = (cluster, stable) {
+                let dep_key = c.dep_key;
+                store.insert(
+                    c.func,
+                    StoredCluster {
+                        dep_key,
+                        fingerprint,
+                        report,
+                    },
+                );
+            }
+        }
     }
 }
 
@@ -780,7 +816,6 @@ mod tests {
             CheckerConfig::default(),
             &DriverConfig::sequential(),
             Some(&gate),
-            true,
         );
         assert_eq!(reuse.verdict_reused, 1);
         assert_eq!(reuse.recomputed, 1);
@@ -796,14 +831,31 @@ mod tests {
     fn no_gate_means_no_reuse() {
         let session = Session::compile(SRC, "<test>").unwrap();
         let _ = session.check(CheckerConfig::default(), &DriverConfig::sequential());
-        let (_, reuse) = session.check_incremental(
-            CheckerConfig::default(),
-            &DriverConfig::sequential(),
-            None,
-            false,
-        );
+        let (_, reuse) =
+            session.check_incremental(CheckerConfig::default(), &DriverConfig::sequential(), None);
         assert_eq!(reuse.verdict_reused, 0);
         assert_eq!(reuse.recomputed, 2);
+    }
+
+    /// A verdict stored under one configuration is not a verdict for
+    /// another: the identity reducer's unsliced evidence must never be
+    /// served to a path-slicing request for the same clusters.
+    #[test]
+    fn memo_keys_on_the_checker_configuration() {
+        let session = Session::compile(SRC, "<test>").unwrap();
+        let gate = accept_all();
+        let driver = DriverConfig::sequential();
+        let identity = CheckerConfig {
+            reducer: crate::Reducer::Identity,
+            ..CheckerConfig::default()
+        };
+        let (_, first) = session.check_incremental(identity, &driver, Some(&gate));
+        assert_eq!(first.recomputed, 2);
+        let (_, other) = session.check_incremental(CheckerConfig::default(), &driver, Some(&gate));
+        assert_eq!(other.verdict_reused, 0, "{other:?}");
+        assert_eq!(other.recomputed, 2, "{other:?}");
+        let (_, same) = session.check_incremental(CheckerConfig::default(), &driver, Some(&gate));
+        assert_eq!(same.verdict_reused, 2, "{same:?}");
     }
 
     #[test]

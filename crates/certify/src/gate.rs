@@ -1,15 +1,20 @@
-//! The certificate gate for serialized verdicts: journal recovery, the
-//! fabric peer tier, and `pathslice validate` all trust a verdict they
-//! did not derive only through [`certify`]. A trace vouches for its own
-//! claims; [`Expect::served`] also binds the verdict served next to it
-//! to those claims (DESIGN.md §7).
+//! The certificate gate for serialized verdicts: journal recovery and
+//! `pathslice validate` trust a verdict they did not derive only
+//! through [`certify`]. A trace vouches for its own claims;
+//! [`Expect::served`] also binds the verdict served next to it to those
+//! claims (DESIGN.md §7).
 
 use crate::{
-    corrupt, edge_in_program, from_json, validate, Certificate, JsonError, TraceFile, Validation,
+    corrupt, edge_in_program, from_json, validate, Certificate, ClusterCert, JsonError, TraceFile,
+    Validation,
 };
-use blastlite::{parse_verdicts, render_slice_edge, CheckOutcome, Session};
-use cfa::Program;
+use blastlite::{
+    parse_verdicts, render_slice_edge, CheckOutcome, CheckReport, ClusterReport,
+    DriverClusterReport, RefutationRound, Session,
+};
+use cfa::{Path, Program};
 use rt::{FaultKind, FaultPlan, FaultSite};
+use std::time::Duration;
 
 /// A verdict about to be served on a trace's word.
 #[derive(Debug, Clone, Copy)]
@@ -45,6 +50,82 @@ pub struct Certified {
     /// Validation per cluster, in trace order (all confirmed when a
     /// served verdict was bound).
     pub results: Vec<Validation>,
+}
+
+impl Certified {
+    /// The inverse of [`certify_cluster`](crate::certify_cluster): one
+    /// driver report per traced cluster, rebuilt from its certificate —
+    /// a `BUG`'s path and slice, a `SAFE`'s refutation rounds — so the
+    /// recompiled session can hold the verdict like one it derived.
+    /// `effort` gives each cluster's refinement count and wall time, in
+    /// trace order: the columns no certificate covers.
+    ///
+    /// # Errors
+    ///
+    /// [`Rejection::ClusterCount`] when `effort` does not cover every
+    /// cluster; [`Rejection::Invalid`] for a cluster whose function is
+    /// not in the program, whose `BUG` path is not a program path
+    /// ([`Path::new`]), or whose certificate proves nothing.
+    pub fn cluster_reports(
+        &self,
+        effort: &[(usize, Duration)],
+    ) -> Result<Vec<DriverClusterReport>, Rejection> {
+        if effort.len() != self.trace.clusters.len() {
+            return Err(Rejection::ClusterCount(
+                effort.len(),
+                self.trace.clusters.len(),
+            ));
+        }
+        let program = self.session.program();
+        let rebuild = |c: &ClusterCert, (refinements, wall): (usize, Duration)| {
+            let invalid = |why: String| Rejection::Invalid(c.func_name.clone(), why);
+            let func = program
+                .func_id(&c.func_name)
+                .ok_or_else(|| invalid("no such function".into()))?;
+            let (outcome, rounds) = match &c.certificate {
+                Certificate::Bug(b) => {
+                    let path = Path::new(program, b.path.clone())
+                        .map_err(|e| invalid(format!("path: {e}")))?;
+                    let slice = b.slice.clone();
+                    (CheckOutcome::Bug { path, slice }, Vec::new())
+                }
+                Certificate::Safe(s) => {
+                    let rounds = s.rounds.iter().map(|r| RefutationRound {
+                        slice: r.slice.clone(),
+                        core: r.core.clone(),
+                        core_complete: r.complete,
+                    });
+                    (CheckOutcome::Safe, rounds.collect())
+                }
+                Certificate::Degraded(_) => {
+                    return Err(invalid("a degraded certificate backs no verdict".into()))
+                }
+            };
+            Ok(DriverClusterReport {
+                cluster: ClusterReport {
+                    func,
+                    func_name: c.func_name.clone(),
+                    n_sites: program.cfa(func).error_locs().len(),
+                    report: CheckReport {
+                        outcome,
+                        refinements,
+                        traces: Vec::new(),
+                        rounds,
+                        wall,
+                        n_predicates: 0,
+                        abstract_states: 0,
+                    },
+                },
+                attempts: Vec::new(),
+            })
+        };
+        self.trace
+            .clusters
+            .iter()
+            .zip(effort)
+            .map(|(c, &e)| rebuild(c, e))
+            .collect()
+    }
 }
 
 /// Why the gate refused a trace.
@@ -381,6 +462,43 @@ mod tests {
             gate(key, exit, &render, &good, &json, true),
             |r| matches!(r, Rejection::Corrupted(_)),
         );
+    }
+
+    #[test]
+    fn cluster_reports_invert_certify_cluster() {
+        let (session, reports, trace) = honest();
+        let (render, exit) = render_verdicts(session.program(), &reports);
+        let json = to_json(&trace);
+        let mut admitted = gate(session.key(), exit, &render, &labels(&trace), &json, false)
+            .expect("honest trace");
+        let effort: Vec<_> = reports
+            .iter()
+            .map(|r| (r.report.refinements, r.report.wall))
+            .collect();
+        let rebuilt = admitted.cluster_reports(&effort).expect("honest trace");
+        let clusters: Vec<_> = rebuilt.iter().map(|c| c.cluster.clone()).collect();
+        assert_eq!(
+            render_verdicts(admitted.session.program(), &clusters),
+            (render, exit)
+        );
+        // Rebuilt reports pass the in-process gate that guards reuse.
+        let reuse_gate = crate::validator(FaultPlan::default());
+        for c in &rebuilt {
+            assert!((reuse_gate.0)(admitted.session.analyses(), c).is_none());
+        }
+
+        assert!(matches!(
+            admitted.cluster_reports(&effort[..1]),
+            Err(Rejection::ClusterCount(1, 2))
+        ));
+        let Certificate::Bug(b) = &mut admitted.trace.clusters[0].certificate else {
+            panic!("main is a bug");
+        };
+        b.path.reverse();
+        assert!(matches!(
+            admitted.cluster_reports(&effort),
+            Err(Rejection::Invalid(func, _)) if func == "main"
+        ));
     }
 
     #[test]

@@ -431,6 +431,49 @@ mod tests {
         }
     }
 
+    /// Random byte damage never panics the parser: every mutant of an
+    /// honest trace parses or fails with a typed error. Deterministic
+    /// (a fixed xorshift seed), so a failure names a reproducible input.
+    #[test]
+    fn random_byte_mutations_never_panic() {
+        let honest = to_json(&sample()).into_bytes();
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut rand = move |bound: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize % bound.max(1)
+        };
+        const NOISE: &[u8] = b"{}[]\",:-0123456789 truefalsenull\\";
+        let mut rejected = 0;
+        for case in 0..2000 {
+            let mut bytes = honest.clone();
+            for _ in 0..=rand(3) {
+                let at = rand(bytes.len());
+                match rand(4) {
+                    0 => bytes[at] = NOISE[rand(NOISE.len())],
+                    1 => {
+                        let end = (at + 1 + rand(16)).min(bytes.len());
+                        bytes.drain(at..end);
+                    }
+                    2 => bytes.insert(at, NOISE[rand(NOISE.len())]),
+                    _ => bytes.truncate(at),
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes).into_owned();
+            let parsed = std::panic::catch_unwind(|| from_json(&text).is_ok());
+            match parsed {
+                Ok(true) => {}
+                Ok(false) => rejected += 1,
+                Err(_) => panic!("case {case}: from_json panicked on {text:?}"),
+            }
+        }
+        assert!(rejected > 1000, "the mutants must mostly be damaged");
+    }
+
     #[test]
     fn unicode_and_escapes_survive() {
         let mut file = sample();

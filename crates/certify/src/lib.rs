@@ -27,7 +27,7 @@
 //!   after how many attempts) even though they prove nothing.
 //!
 //! Two gates share [`validate`]: [`certify`] for serialized verdicts
-//! (journal, fabric peers, `pathslice validate`), and [`validator`], a
+//! (journal recovery, `pathslice validate`), and [`validator`], a
 //! [`blastlite::ClusterValidator`] for in-process reports (`--validate`,
 //! incremental reuse) that downgrades unconfirmed verdicts to
 //! [`CheckOutcome::CertificateMismatch`] — a wrong answer is *reported*,

@@ -50,8 +50,7 @@ fn gated_reuse_is_byte_identical_to_cold_check() {
     assert_eq!(up.invalidated_clusters, 1);
 
     let gate = certify::validator(FaultPlan::default());
-    let (warm, reuse) =
-        new.check_incremental(cfg(), &DriverConfig::sequential(), Some(&gate), false);
+    let (warm, reuse) = new.check_incremental(cfg(), &DriverConfig::sequential(), Some(&gate));
     assert_eq!(reuse.verdict_reused, 1, "{reuse:?}");
     assert_eq!(reuse.cert_rejected, 0, "{reuse:?}");
     assert_eq!(reuse.recomputed, 1, "{reuse:?}");
@@ -80,7 +79,7 @@ fn corrupted_candidate_is_rejected_and_rechecked_cold() {
         1.0,
     ));
     let gate = certify::validator(FaultPlan::default());
-    let (report, reuse) = session.check_incremental(cfg(), &chaos, Some(&gate), false);
+    let (report, reuse) = session.check_incremental(cfg(), &chaos, Some(&gate));
     assert_eq!(reuse.verdict_reused, 0, "{reuse:?}");
     assert_eq!(reuse.cert_rejected, 2, "{reuse:?}");
     assert_eq!(reuse.recomputed, 2, "{reuse:?}");
@@ -98,7 +97,7 @@ fn intact_candidates_all_reuse_on_an_unchanged_program() {
 
     let gate = certify::validator(FaultPlan::default());
     let (report, reuse) =
-        session.check_incremental(cfg(), &DriverConfig::sequential(), Some(&gate), true);
+        session.check_incremental(cfg(), &DriverConfig::sequential(), Some(&gate));
     assert_eq!(reuse.verdict_reused, 2, "{reuse:?}");
     assert_eq!(reuse.recomputed, 0, "{reuse:?}");
 

@@ -9,7 +9,6 @@
 //! pathslice serve [--addr <host:port>] [--jobs <n>] [--queue <n>]
 //!                 [--fast-queue <n>] [--cache <n>] [--timeout <secs>]
 //!                 [--journal <dir>]
-//!                 [--name <node>] [--peers <node=addr,...>]
 //!                 [--stats] [--trace-out <spans.json>]
 //!                 [--slow-ms <ms>] [--slow-out <traces.json>]
 //!                 [--metrics-every <ms>]
@@ -46,7 +45,8 @@
 //!   reactor, a bounded two-lane admission pool (`--queue` caps cold
 //!   checks, `--fast-queue` caps warm cache lookups) that answers
 //!   `overloaded` under pressure, and a content-addressed analysis
-//!   cache shared across requests.
+//!   cache shared across requests, whose sessions keep per-cluster
+//!   verdicts warm across repeats and edits.
 //!   `--journal` attaches a durable verdict journal: completed verdicts
 //!   are appended (checksummed, fsync-batched) and on restart the
 //!   journal is replayed with every recovered verdict re-validated
@@ -56,12 +56,7 @@
 //!   `--slow-ms` sets the tail-sampling latency threshold and
 //!   `--metrics-every` the telemetry snapshot interval; `--slow-out`
 //!   dumps the retained slow-request traces
-//!   (`pathslice-slowtraces/v1`) after the drain. `--name` and
-//!   `--peers` enroll the node in a verification fabric: on a local
-//!   verdict-cache miss it asks the ring owner of the request's
-//!   content key for a journaled verdict, and accepts the answer only
-//!   after recompiling the embedded source and re-validating the
-//!   attached certificate locally.
+//!   (`pathslice-slowtraces/v1`) after the drain.
 //! * `route` — run the fabric router (`crates/fabric`): speaks
 //!   `pathslice-wire/v1` to clients and relays each check frame,
 //!   byte-for-byte, to the consistent-hash ring owner of the program's
@@ -138,7 +133,6 @@ USAGE:
     pathslice serve [--addr <host:port>] [--jobs <n>] [--queue <n>]
                     [--fast-queue <n>] [--cache <n>] [--timeout <secs>]
                     [--journal <dir>]
-                    [--name <node>] [--peers <node=addr,...>]
                     [--stats] [--trace-out <spans.json>]
                     [--slow-ms <ms>] [--slow-out <traces.json>]
                     [--metrics-every <ms>]
@@ -238,7 +232,7 @@ fn cmd_check(args: &[String], out: &mut String) -> Result<i32, String> {
     let t0 = std::time::Instant::now();
     let (driver_report, reuse) = if update.is_some() {
         let gate = pathslicing::certify::validator(pathslicing::rt::FaultPlan::default());
-        let (report, reuse) = session.check_incremental(config, &driver, Some(&gate), true);
+        let (report, reuse) = session.check_incremental(config, &driver, Some(&gate));
         (report, Some(reuse))
     } else {
         (session.check(config, &driver), None)
@@ -531,18 +525,16 @@ pub fn serve_until(
     if let Some(dir) = flag_value(args, "--journal")? {
         config.journal_dir = Some(std::path::PathBuf::from(dir));
     }
-    let name = flag_value(args, "--name")?;
-    let peers = flag_value(args, "--peers")?;
-    match (&name, &peers) {
-        (Some(name), Some(peers)) => {
-            config.peer_name = Some(name.clone());
-            config.peers = parse_peers(peers)?;
-            if !config.peers.iter().any(|(n, _)| n == name) {
-                return Err(format!("--peers does not list this node (`{name}`)"));
-            }
-        }
-        (None, None) => {}
-        _ => return Err("--name and --peers must be given together".into()),
+    let removed = args.iter().find_map(|f| {
+        f.split('=')
+            .next()
+            .filter(|f| matches!(*f, "--name" | "--peers"))
+    });
+    if let Some(f) = removed {
+        return Err(format!(
+            "serve {f} was removed in 0.11.0: nodes no longer fetch verdicts from peers; \
+             route a fleet with `pathslice route --peers`"
+        ));
     }
     let jobs = config.jobs.max(1);
     let journaled = config.journal_dir.is_some();
@@ -1202,8 +1194,8 @@ mod tests {
     fn fabric_flags_must_be_coherent() {
         let token = pathslicing::rt::CancelToken::new();
         token.cancel();
-        // serve: --name and --peers only travel together, and the
-        // roster must list this node.
+        // serve: --name and --peers are gone; a node that names them is
+        // refused rather than silently left out of a fabric it expects.
         for case in [
             vec!["--name", "n1"],
             vec!["--peers", "n1=127.0.0.1:1"],

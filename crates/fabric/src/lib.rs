@@ -6,10 +6,10 @@
 //! client connects to it exactly as it would to a single daemon, under
 //! `pathslice-wire/v1` or `/v2` per frame (`docs/WIRE.md`); each check
 //! frame is parsed just enough to derive the program's *content key*
-//! (the same key the analysis and verdict caches use), then relayed
+//! (the same key the analysis cache and the journal use), then relayed
 //! byte-for-byte to the ring owner of that key — so repeated (or
 //! reformatted) submissions of one program always land on the node
-//! that already holds its warm session and journaled verdict, and the
+//! that already holds its warm session and journaled verdicts, and the
 //! relayed frame carries the client's own schema marker, so the
 //! backend answers under the revision the client asked for. The
 //! backend's response line is relayed back verbatim: a fabric answer
@@ -102,7 +102,7 @@ impl Default for RouterConfig {
 pub struct RouterStats {
     /// Client connections accepted.
     pub connections: u64,
-    /// Frames routed to a backend (checks and `peer_get` relays).
+    /// Check frames routed to a backend.
     pub routed: u64,
     /// Frames that came back with a relayable backend response.
     pub relayed: u64,
@@ -423,10 +423,10 @@ fn connection_loop(stream: TcpStream, shared: &Arc<RouterShared>) {
     }
 }
 
-/// Answers one client frame: telemetry ops inline, checks and
-/// `peer_get`s by relay. Always returns a newline-terminated frame,
-/// serialized under the requesting frame's wire revision (a frame that
-/// does not parse names no revision and is answered under v1).
+/// Answers one client frame: telemetry ops inline, checks by relay.
+/// Always returns a newline-terminated frame, serialized under the
+/// requesting frame's wire revision (a frame that does not parse names
+/// no revision and is answered under v1).
 fn handle_frame(
     line: &[u8],
     shared: &Arc<RouterShared>,
@@ -485,9 +485,6 @@ fn handle_frame(
         ),
         Ok((wire::Incoming::Check(req), version)) => {
             forward(line, route_key(&req.source), &req.id, version, shared, pool)
-        }
-        Ok((wire::Incoming::PeerGet { id, key, .. }, version)) => {
-            forward(line, key, &id, version, shared, pool)
         }
     }
 }

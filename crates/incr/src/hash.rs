@@ -1,8 +1,8 @@
 //! The workspace's one content-hash construction.
 //!
 //! Every layer that content-addresses program text — the session cache
-//! key, the verdict-journal record key, the fabric's `peer_get` ring
-//! routing, and the per-function keys of the incremental derivation
+//! key, the verdict-journal record key, the fabric router's ring
+//! placement, and the per-function keys of the incremental derivation
 //! graph — derives its value from this module, so the layers can never
 //! drift apart. The construction is 64-bit FNV-1a, written out by hand
 //! (no std `Hasher`) so values are stable across Rust releases and

@@ -8,8 +8,8 @@
 //! ```text
 //! fn body text ──fn_key──▶ parsed AST ──▶ lowered CFA ──cfa_key──▶
 //!     dataflow fixpoints (Mods / WrBt / By) ──▶
-//!     per-cluster dependency set ──dep_key──▶ cluster verdict (+ its
-//!     refinement predicates), reuse gated on the PR 2 certificate
+//!     per-cluster dependency set ──dep_key──▶ cluster verdict, reuse
+//!     gated on its certificate
 //! ```
 //!
 //! Every derived artifact is memoized against the keys of *exactly the
@@ -21,7 +21,7 @@
 //! 1. **Keys are name-resolved, not id-resolved.** [`cfa_key`] hashes
 //!    edges through `Program::fmt_op` (source-level names) plus each
 //!    referenced variable's `(name, kind, length)`, never a raw
-//!    [`VarId`] or [`FuncId`] index — so keys survive the id
+//!    [`VarId`](cfa::VarId) or [`FuncId`] index — so keys survive the id
 //!    renumbering that any edit induces during re-lowering.
 //! 2. **Dependency sets are control-closed.** [`cluster_deps`] includes
 //!    not just the cluster function's callers and callees but every
@@ -34,7 +34,7 @@
 
 pub mod hash;
 
-use cfa::{CBool, CExpr, CLval, Cfa, FuncId, Op, Program, VarId, VarKind};
+use cfa::{Cfa, FuncId, Op, Program, VarKind};
 use dataflow::Analyses;
 use std::collections::BTreeSet;
 
@@ -97,8 +97,8 @@ impl Shape {
     }
 
     /// The whole-program content key ([`hash::ast_key`]) — identical to
-    /// `Session::content_key`, the journal record key, and the fabric's
-    /// `peer_get` routing key.
+    /// `Session::content_key`, the journal record key, and the fabric
+    /// router's ring key.
     pub fn key(&self) -> u64 {
         self.key
     }
@@ -295,9 +295,9 @@ pub fn cluster_deps(analyses: &Analyses<'_>, f: FuncId) -> Vec<FuncId> {
 /// names with their structural [`cfa_key`]s, plus the program's alias
 /// fingerprint. Two program versions assigning equal `dep_key`s to a
 /// cluster are indistinguishable to its check, so the stored verdict —
-/// outcome, slice, refinement rounds, predicates, certificate — is
-/// valid verbatim (edge and location ids transplant because the member
-/// CFAs are structurally identical).
+/// outcome, slice, refinement rounds, certificate — is valid verbatim
+/// (edge and location ids transplant because the member CFAs are
+/// structurally identical).
 pub fn dep_key(program: &Program, fn_keys: &[u64], members: &[FuncId], alias_fp: u64) -> u64 {
     let mut h = hash::Fnv::new();
     h.write_u64(alias_fp);
@@ -307,56 +307,6 @@ pub fn dep_key(program: &Program, fn_keys: &[u64], members: &[FuncId], alias_fp:
         h.write_u64(fn_keys[m.index()]);
     }
     h.finish()
-}
-
-/// Re-expresses a predicate mined against `old` in `new`'s variable
-/// ids, joining variables by *name* (re-lowering renumbers every
-/// `VarId`). Returns `None` when a referenced variable no longer exists
-/// in `new` — the caller drops that seed, which costs refinement rounds
-/// but never correctness (seeds only warm-start CEGAR).
-pub fn remap_bool(old: &Program, new: &Program, b: &CBool) -> Option<CBool> {
-    let var = |v: VarId| new.vars().lookup(old.vars().name(v));
-    remap_bool_with(&var, b)
-}
-
-fn remap_bool_with(var: &dyn Fn(VarId) -> Option<VarId>, b: &CBool) -> Option<CBool> {
-    Some(match b {
-        CBool::True => CBool::True,
-        CBool::False => CBool::False,
-        CBool::Cmp(op, a, b) => CBool::Cmp(*op, remap_expr_with(var, a)?, remap_expr_with(var, b)?),
-        CBool::Not(i) => CBool::Not(Box::new(remap_bool_with(var, i)?)),
-        CBool::And(a, b) => CBool::And(
-            Box::new(remap_bool_with(var, a)?),
-            Box::new(remap_bool_with(var, b)?),
-        ),
-        CBool::Or(a, b) => CBool::Or(
-            Box::new(remap_bool_with(var, a)?),
-            Box::new(remap_bool_with(var, b)?),
-        ),
-    })
-}
-
-fn remap_expr_with(var: &dyn Fn(VarId) -> Option<VarId>, e: &CExpr) -> Option<CExpr> {
-    Some(match e {
-        CExpr::Int(k) => CExpr::Int(*k),
-        CExpr::Lval(lv) => CExpr::Lval(remap_lval_with(var, *lv)?),
-        CExpr::ArrLoad(a, idx) => CExpr::ArrLoad(var(*a)?, Box::new(remap_expr_with(var, idx)?)),
-        CExpr::AddrOf(v) => CExpr::AddrOf(var(*v)?),
-        CExpr::Neg(i) => CExpr::Neg(Box::new(remap_expr_with(var, i)?)),
-        CExpr::Bin(op, a, b) => CExpr::Bin(
-            *op,
-            Box::new(remap_expr_with(var, a)?),
-            Box::new(remap_expr_with(var, b)?),
-        ),
-    })
-}
-
-fn remap_lval_with(var: &dyn Fn(VarId) -> Option<VarId>, lv: CLval) -> Option<CLval> {
-    Some(match lv {
-        CLval::Var(v) => CLval::Var(var(v)?),
-        CLval::Deref(v) => CLval::Deref(var(v)?),
-        CLval::Arr(v) => CLval::Arr(var(v)?),
-    })
 }
 
 #[cfg(test)]
@@ -474,33 +424,6 @@ mod tests {
         );
         let a = Analyses::build(&p);
         assert_eq!(dep_names(&p, &a, "f"), ["h", "f", "main"]);
-    }
-
-    #[test]
-    fn remap_bool_joins_by_name() {
-        // `pre` shifts every VarId in the second version; a predicate
-        // over the first program's `a` must land on the second's `a`.
-        let p = lower(DISPATCH);
-        let q = lower(&format!(
-            "global s;\nfn pre() {{ local z; z = 9; }}\n{}",
-            &DISPATCH["global s;\n".len()..]
-        ));
-        let pa = p.vars().lookup("f1::a").unwrap();
-        let pred = CBool::Cmp(imp::ast::CmpOp::Lt, CExpr::var(pa), CExpr::Int(1));
-        let mapped = remap_bool(&p, &q, &pred).unwrap();
-        let qa = q.vars().lookup("f1::a").unwrap();
-        assert_eq!(
-            mapped,
-            CBool::Cmp(imp::ast::CmpOp::Lt, CExpr::var(qa), CExpr::Int(1))
-        );
-        assert_ne!(pa, qa, "the remap is not the identity");
-        // A variable with no counterpart drops the seed.
-        let gone = CBool::Cmp(
-            imp::ast::CmpOp::Lt,
-            CExpr::var(q.vars().lookup("pre::z").unwrap()),
-            CExpr::Int(0),
-        );
-        assert_eq!(remap_bool(&q, &p, &gone), None);
     }
 
     #[test]

@@ -397,15 +397,6 @@ pub enum FaultSite {
     /// writing anything. Either way the *daemon* must shrug it off —
     /// only that one connection is affected.
     WireWrite,
-    /// While fetching a journaled verdict from a fabric peer (keyed by
-    /// the program's content key, hex). [`FaultKind::TornWrite`]
-    /// truncates the peer's response mid-frame (the parse must fail and
-    /// downgrade to a miss); [`FaultKind::IoError`] fails the fetch
-    /// outright; [`FaultKind::Stall`] models a slow peer;
-    /// [`FaultKind::CorruptCertificate`] damages the fetched
-    /// certificate so the certificate gate must reject the verdict and
-    /// re-check locally.
-    PeerFetch,
     /// While the router forwards a request to a fabric member (keyed by
     /// the member's name). [`FaultKind::IoError`] models a network
     /// partition: every connection to that member is refused and the
@@ -433,7 +424,6 @@ impl FaultSite {
             FaultSite::JournalReplay => 0x99,
             FaultSite::WireRead => 0xAA,
             FaultSite::WireWrite => 0xBB,
-            FaultSite::PeerFetch => 0xCC,
             FaultSite::Partition => 0xDD,
             FaultSite::IncrReuse => 0xEE,
         }

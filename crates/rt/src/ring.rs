@@ -1,19 +1,18 @@
 //! Consistent-hash ring for the verification fabric.
 //!
 //! The fabric routes each request by the program's *content key* (the
-//! same FNV-1a key the analysis and verdict caches use), so repeated —
-//! or reformatted — submissions of one program land on the node that
-//! already holds its warm session and journaled verdict. A plain
+//! same FNV-1a key the analysis cache and the journal use), so repeated
+//! — or reformatted — submissions of one program land on the node that
+//! already holds its warm session and journaled verdicts. A plain
 //! `key % n` mapping would reshuffle almost every key whenever a member
 //! joins or leaves; the classic consistent-hashing construction moves
 //! only ~K/N of K keys instead: each member owns [`VNODES`] points on a
 //! `u64` circle, and a key belongs to the first member point clockwise
 //! from the key's own position.
 //!
-//! The ring lives in `rt` (not `crates/fabric`) so both sides of the
-//! fabric share one canonical implementation without a dependency
-//! cycle: the router uses it to pick a forwarding target, and a serving
-//! node uses it to decide which peer owns a missing verdict.
+//! The ring lives in `rt` (not `crates/fabric`) so the router and the
+//! drills that predict its placement share one canonical
+//! implementation without a dependency cycle.
 //!
 //! Members carry an up/down mark maintained by health checks (or
 //! passive failure detection). [`Ring::owner`] and [`Ring::successors`]

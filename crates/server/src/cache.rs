@@ -5,7 +5,9 @@
 //! share an entry. A hit skips the whole setup pipeline (parse → lower →
 //! validate → `Analyses::build`) and lands on a [`Session`] whose `By`
 //! memo table earlier requests have already warmed; the check proceeds
-//! straight to reach/slice/solve.
+//! straight to reach/slice/solve. Each session also carries the
+//! daemon's only verdict store, its per-cluster memo: a hit whose
+//! clusters all re-validate from the memo runs no check at all.
 //!
 //! Entries are `Arc`-shared, so an eviction never invalidates a session
 //! a worker is still checking against — the entry just stops being
@@ -19,7 +21,6 @@
 //! always available from [`AnalysisCache::stats`]).
 
 use crate::lock;
-use crate::wire::ClusterVerdict;
 use blastlite::{Session, UpdateReport};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -219,8 +220,9 @@ impl AnalysisCache {
 
     /// Inserts an already-compiled session without touching the
     /// hit/miss accounting — the journal replay path, which warms the
-    /// cache from recovered (and certificate-validated) verdicts before
-    /// the first request arrives. Request-path accounting starts clean.
+    /// cache with sessions whose verdict memos hold recovered (and
+    /// certificate-validated) verdicts before the first request
+    /// arrives. Request-path accounting starts clean.
     pub fn admit(&self, key: u64, session: Arc<Session>) {
         self.insert(key, session);
     }
@@ -251,173 +253,6 @@ impl std::fmt::Debug for AnalysisCache {
         write!(
             f,
             "AnalysisCache({}/{} entries, {} hit(s), {} miss(es), {} eviction(s))",
-            s.len, s.capacity, s.hits, s.misses, s.evictions
-        )
-    }
-}
-
-// ---------------------------------------------------------------------
-// Verdict cache
-// ---------------------------------------------------------------------
-
-/// Point-in-time verdict-cache accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct VerdictCacheStats {
-    /// Lookups answered warm (no check ran).
-    pub hits: u64,
-    /// Lookups that fell through to a fresh check.
-    pub misses: u64,
-    /// Entries displaced by the LRU bound.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub len: usize,
-    /// The configured entry bound.
-    pub capacity: usize,
-}
-
-/// One complete, certificate-backed verdict, exactly as it was served —
-/// the daemon's only verdict record: the verdict cache holds it, the
-/// journal persists it, and `peer_get` hands it to fabric peers.
-///
-/// Entries exist only for *stable* results — every cluster `SAFE` or
-/// `BUG` (exit ≤ 1). Timeouts, internal errors, and mismatches are
-/// re-checked every time: they are properties of a particular run, not
-/// of the program, and they carry no validatable certificate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VerdictEntry {
-    /// `pathslice check` exit code (0 or 1 by construction).
-    pub exit: i32,
-    /// Verdicts rendered exactly as they were first served.
-    pub render: String,
-    /// Structured per-cluster verdicts.
-    pub clusters: Vec<ClusterVerdict>,
-    /// The `pathslice-trace/v1` certificate document — what the journal
-    /// persists and what a `certificate`-wanting request is answered
-    /// with.
-    pub trace_json: String,
-}
-
-struct VerdictSlot {
-    entry: Arc<VerdictEntry>,
-    last_used: u64,
-}
-
-/// An LRU map from `(content key, config fingerprint)` to a finished
-/// [`VerdictEntry`] — the in-memory face of the verdict journal.
-///
-/// The two-part key matters: the same program checked under different
-/// knobs (slicing off, DFS, a different budget, validation on) can
-/// legitimately produce different evidence, so each configuration gets
-/// its own slot and a warm answer is only ever served to a request that
-/// would have re-derived it.
-pub struct VerdictCache {
-    capacity: usize,
-    inner: Mutex<VerdictInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-struct VerdictInner {
-    entries: HashMap<(u64, u64), VerdictSlot>,
-    tick: u64,
-}
-
-impl VerdictCache {
-    /// An empty cache bounded to `capacity` entries (minimum 1).
-    pub fn new(capacity: usize) -> VerdictCache {
-        VerdictCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(VerdictInner {
-                entries: HashMap::new(),
-                tick: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up a warm verdict, counting the outcome.
-    pub fn get(&self, key: (u64, u64)) -> Option<Arc<VerdictEntry>> {
-        let mut inner = lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.entries.get_mut(&key) {
-            Some(slot) => {
-                slot.last_used = tick;
-                let entry = slot.entry.clone();
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::counter("server.verdict_hits").inc();
-                Some(entry)
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                obs::counter("server.verdict_misses").inc();
-                None
-            }
-        }
-    }
-
-    /// Looks up a warm verdict *without* touching the hit/miss
-    /// accounting or the LRU clock — the fabric `peer_get` answer path.
-    /// A peer's probe is not a local request: it must not inflate this
-    /// node's warm-hit rate, and it must not keep an entry hot that no
-    /// local client is asking for.
-    pub fn peek(&self, key: (u64, u64)) -> Option<Arc<VerdictEntry>> {
-        lock(&self.inner).entries.get(&key).map(|s| s.entry.clone())
-    }
-
-    /// Whether a warm verdict is resident, with the same no-accounting
-    /// contract as [`VerdictCache::peek`] — the reactor's admission
-    /// classifier.
-    pub fn contains(&self, key: (u64, u64)) -> bool {
-        lock(&self.inner).entries.contains_key(&key)
-    }
-
-    /// Inserts (or replaces) a verdict, evicting LRU entries past the
-    /// bound.
-    pub fn insert(&self, key: (u64, u64), entry: Arc<VerdictEntry>) {
-        let mut inner = lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.insert(
-            key,
-            VerdictSlot {
-                entry,
-                last_used: tick,
-            },
-        );
-        while inner.entries.len() > self.capacity {
-            let Some((&oldest, _)) = inner.entries.iter().min_by_key(|(_, s)| s.last_used) else {
-                break;
-            };
-            inner.entries.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            obs::counter("server.verdict_evictions").inc();
-        }
-    }
-
-    /// Current accounting.
-    pub fn stats(&self) -> VerdictCacheStats {
-        VerdictCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: lock(&self.inner).entries.len(),
-            capacity: self.capacity,
-        }
-    }
-}
-
-impl std::fmt::Debug for VerdictCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        write!(
-            f,
-            "VerdictCache({}/{} entries, {} hit(s), {} miss(es), {} eviction(s))",
             s.len, s.capacity, s.hits, s.misses, s.evictions
         )
     }
@@ -497,56 +332,6 @@ mod tests {
         let cache = AnalysisCache::new(2);
         assert!(cache.get_or_compile("fn main() {", "<t>").is_err());
         assert_eq!(cache.stats().len, 0);
-    }
-
-    fn verdict(exit: i32) -> Arc<VerdictEntry> {
-        Arc::new(VerdictEntry {
-            exit,
-            render: format!("main  BUG  {exit}\n"),
-            clusters: Vec::new(),
-            trace_json: "{}".into(),
-        })
-    }
-
-    #[test]
-    fn verdict_cache_keys_on_config_fingerprint_too() {
-        let cache = VerdictCache::new(4);
-        cache.insert((1, 100), verdict(0));
-        assert!(cache.get((1, 100)).is_some(), "same program, same config");
-        assert!(
-            cache.get((1, 200)).is_none(),
-            "same program under different knobs must re-check"
-        );
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
-    }
-
-    #[test]
-    fn verdict_cache_evicts_lru() {
-        let cache = VerdictCache::new(2);
-        cache.insert((1, 0), verdict(0));
-        cache.insert((2, 0), verdict(0));
-        cache.get((1, 0)); // touch 1: (2,0) is now coldest
-        cache.insert((3, 0), verdict(1));
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get((1, 0)).is_some());
-        assert!(cache.get((2, 0)).is_none());
-    }
-
-    #[test]
-    fn peek_bypasses_accounting_and_the_lru_clock() {
-        let cache = VerdictCache::new(2);
-        cache.insert((1, 0), verdict(0));
-        cache.insert((2, 0), verdict(0));
-        assert!(cache.peek((1, 0)).is_some());
-        assert!(cache.peek((9, 9)).is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0), "peek counts nothing");
-        // Peeking (1,0) did not refresh it: it is still the coldest and
-        // the next insert evicts it.
-        cache.insert((3, 0), verdict(1));
-        assert!(cache.peek((1, 0)).is_none());
-        assert!(cache.peek((2, 0)).is_some());
     }
 
     #[test]

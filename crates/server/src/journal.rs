@@ -3,17 +3,17 @@
 //! A `kill -9` used to erase every warm verdict: the content-addressed
 //! caches live in memory only. This module gives `pathslice serve` a
 //! crash-tolerant backing store — an **append-only, checksummed,
-//! content-addressed journal** of finished verdicts that the verdict
-//! cache writes through, and that a restarted daemon replays.
+//! content-addressed journal** of finished verdicts that the daemon
+//! appends to, and that a restarted daemon replays.
 //!
 //! The trust story is deliberately *not* "read it back and believe it".
-//! Every record embeds the verdict's PR-2 certificate trace; on replay
-//! the server recompiles the embedded source and re-validates every
-//! cluster certificate through `crates/certify` before the verdict is
-//! admitted to the warm cache. A record that fails its checksum is
-//! *torn*; a record whose certificate does not re-validate is
-//! *rejected*; both downgrade to a plain cache miss. **No unvalidated
-//! verdict is ever served from a recovered journal.**
+//! Every record embeds the verdict's certificate trace; on replay the
+//! server recompiles the embedded source and re-validates every
+//! cluster certificate through `crates/certify` before the verdict
+//! enters the recompiled session's verdict memo. A record that fails
+//! its checksum is *torn*; a record whose certificate does not
+//! re-validate is *rejected*; both downgrade to a plain cache miss.
+//! **No unvalidated verdict is ever served from a recovered journal.**
 //!
 //! # On-disk format
 //!
@@ -54,15 +54,13 @@
 //! `CorruptCertificate` damages the embedded certificate so the
 //! recovery gate must reject it.
 
-use crate::cache::VerdictEntry;
-use crate::wire::{clusters_from_json, clusters_to_json};
+use crate::wire::{clusters_from_json, clusters_to_json, ClusterVerdict};
 use obs::json::{Json, JsonError};
 use rt::{FaultKind, FaultPlan, FaultSite};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Format marker: first line of every segment file.
 pub const JOURNAL_SCHEMA: &str = "pathslice-journal/v1";
@@ -120,18 +118,38 @@ pub struct JournalStats {
     pub segments: u64,
 }
 
-/// One journaled verdict: the served [`VerdictEntry`] under its
-/// verdict-cache key. The entry's trace is what the recovery gate
-/// re-validates.
+/// One complete, certificate-backed verdict, exactly as it was served:
+/// a journal record's payload.
+///
+/// Entries exist only for *stable* results — every cluster `SAFE` or
+/// `BUG` (exit ≤ 1). Timeouts, internal errors, and mismatches are
+/// re-checked every time: they are properties of a particular run, not
+/// of the program, and they carry no validatable certificate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VerdictEntry {
+    /// `pathslice check` exit code (0 or 1 by construction).
+    pub exit: i32,
+    /// Verdicts rendered exactly as they were first served.
+    pub render: String,
+    /// Structured per-cluster verdicts.
+    pub clusters: Vec<ClusterVerdict>,
+    /// The `pathslice-trace/v1` certificate document the recovery gate
+    /// re-validates.
+    pub trace_json: String,
+}
+
+/// One journaled verdict: the served [`VerdictEntry`] under its program
+/// key and configuration fingerprint. The entry's trace is what the
+/// recovery gate re-validates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
     /// Content key of the resolved program ([`blastlite::Session::key`]).
     pub key: u64,
-    /// Fingerprint of the checker configuration the verdict was
-    /// produced under (reducer, search order, budget, …).
+    /// [`blastlite::config_fingerprint`] of the configuration the
+    /// verdict was produced under.
     pub fingerprint: u64,
-    /// The verdict, shared with the verdict cache.
-    pub entry: Arc<VerdictEntry>,
+    /// The verdict.
+    pub entry: VerdictEntry,
 }
 
 impl JournalRecord {
@@ -162,7 +180,7 @@ impl JournalRecord {
         Ok(JournalRecord {
             key: hex("key")?,
             fingerprint: hex("fp")?,
-            entry: Arc::new(VerdictEntry {
+            entry: VerdictEntry {
                 exit: doc
                     .field("exit")
                     .and_then(Json::as_i64)
@@ -174,7 +192,7 @@ impl JournalRecord {
                     .to_owned(),
                 clusters: clusters_from_json(&doc).map_err(|e| e.message)?,
                 trace_json: doc.field("trace").ok_or("missing `trace`")?.to_text(),
-            }),
+            },
         })
     }
 }
@@ -611,7 +629,7 @@ fn truncate(s: &str, n: usize) -> &str {
 /// content hash ([`incr::hash::fnv64`]), so the on-disk checksum, the
 /// session content key, the fabric routing key, and the per-function
 /// derivation-graph keys are all one construction. Also used by the
-/// server for configuration fingerprints.
+/// server to remember raw request text.
 pub(crate) fn content_hash(bytes: &[u8]) -> u64 {
     fnv64(bytes)
 }
@@ -621,7 +639,6 @@ use incr::hash::fnv64;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ClusterVerdict;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir =
@@ -644,13 +661,13 @@ mod tests {
         JournalRecord {
             key,
             fingerprint: 0xF00D,
-            entry: Arc::new(VerdictEntry {
+            entry: VerdictEntry {
                 exit: 1,
                 render: format!("main BUG {key}\n"),
                 clusters: vec![cluster()],
                 trace_json: "{\"schema\":\"pathslice-trace/v1\",\"source\":\"\",\"clusters\":[]}"
                     .into(),
-            }),
+            },
         }
     }
 
@@ -680,14 +697,14 @@ mod tests {
         let record = JournalRecord {
             key: 0x0123_4567_89ab_cdef,
             fingerprint: 0xF00D,
-            entry: Arc::new(VerdictEntry {
+            entry: VerdictEntry {
                 exit: 1,
                 render: "main                        1 site(s)  BUG                  \
                          2 refinement(s)  1.2ms\n    main             error()\n"
                     .into(),
                 clusters: vec![cluster()],
                 trace_json: trace.into(),
-            }),
+            },
         };
         journal.append(&record).unwrap();
         drop(journal);

@@ -15,8 +15,8 @@
 //! * **Event-driven front half** — a single reactor thread (hand-rolled
 //!   epoll via [`rt::reactor`], poll(2) fallback) owns the non-blocking
 //!   listener and every connection's read/write buffers; inline ops
-//!   (`ping`/`metrics`/`slow_traces`/`peer_get`) are answered directly
-//!   on the event loop, never behind a worker.
+//!   (`ping`/`metrics`/`slow_traces`) are answered directly on the
+//!   event loop, never behind a worker.
 //! * **Admission control** — a sharded two-lane pool with work
 //!   stealing. Cold checks admit against `queue_capacity` and shed
 //!   first; warm (cache-classified) checks admit against the larger
@@ -27,7 +27,11 @@
 //! * **Analysis cache** ([`cache`]) — content-addressed sessions:
 //!   repeat (or reformatted) programs skip parse/lower/`Analyses::build`
 //!   and land on warmed `By` memo tables, going straight to
-//!   reach/slice/solve.
+//!   reach/slice/solve. Each session's per-cluster verdict memo is the
+//!   daemon's only verdict store: a repeat whose every cluster passes
+//!   the certificate gate from the memo is served `warm`, with no
+//!   check run; the [`journal`] persists stable verdicts and refills
+//!   the memo on restart.
 //! * **Deadlines** — a request-level `deadline_ms` (measured from
 //!   admission, so queue wait counts) threads through the existing
 //!   [`rt::Budget`] machinery into every solver loop.
@@ -62,15 +66,16 @@ pub mod net;
 mod reactor;
 pub mod wire;
 
-use blastlite::{render_verdicts, CheckerConfig, DriverConfig, Reducer, RetryPolicy, SearchOrder};
-use cache::{AnalysisCache, CacheStats, VerdictCache, VerdictCacheStats, VerdictEntry};
-use journal::{Journal, JournalConfig, JournalRecord, JournalStats, ReplayItem};
+use blastlite::{
+    render_verdicts, CheckerConfig, DriverConfig, Reducer, RetryPolicy, SearchOrder, Session,
+};
+use cache::{AnalysisCache, CacheStats};
+use journal::{Journal, JournalConfig, JournalRecord, JournalStats, ReplayItem, VerdictEntry};
 use obs::json::Json;
 use obs::telemetry::{prometheus_text, MetricsRing, MetricsSnapshot};
 use obs::{Histogram, HistogramSnapshot, SpanRecord};
 use rt::reactor::WakeHandle;
-use rt::ring::Ring;
-use rt::{catch_unwind_silent, panic_payload, CancelToken, FaultKind, FaultPlan, FaultSite};
+use rt::{catch_unwind_silent, panic_payload, CancelToken, FaultPlan};
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -99,9 +104,9 @@ pub struct ServerConfig {
     /// `overloaded`.
     pub queue_capacity: usize,
     /// Admission bound for the fast lane — checks whose program is
-    /// already warm in the verdict or analysis cache. Sized generously
-    /// (cache hits are cheap and bounded) so pipelined warm traffic is
-    /// never shed behind cold checks contending for `queue_capacity`.
+    /// already warm in the analysis cache. Sized generously (cache hits
+    /// are cheap and bounded) so pipelined warm traffic is never shed
+    /// behind cold checks contending for `queue_capacity`.
     pub fast_queue_capacity: usize,
     /// Analysis-cache bound, in programs.
     pub cache_capacity: usize,
@@ -125,23 +130,13 @@ pub struct ServerConfig {
     /// How many slow traces the ring retains (oldest evicted first).
     pub slow_capacity: usize,
     /// Durable verdict journal directory (`--journal`). `None` keeps
-    /// the daemon memory-only: no verdict cache, no persistence —
-    /// exactly the pre-journal behaviour.
+    /// the daemon memory-only: verdicts stay warm in the session memos
+    /// but do not survive a restart.
     pub journal_dir: Option<PathBuf>,
     /// Journal fsync batch: sync after this many appended records.
     pub journal_fsync_every: usize,
     /// Journal segment rotation bound, bytes.
     pub journal_segment_bytes: u64,
-    /// Verdict-cache bound, entries (only used when a journal is
-    /// attached).
-    pub verdict_capacity: usize,
-    /// This node's fabric name (`--name`). `None` keeps the node out of
-    /// any fabric: no peer tier, no `peer_get` traffic generated.
-    pub peer_name: Option<String>,
-    /// Fabric members as `(name, addr)` pairs, this node included
-    /// (`--peers`). Ignored without `peer_name`. For port-0 test fleets,
-    /// use [`Server::set_peers`] after every member has bound.
-    pub peers: Vec<(String, String)>,
 }
 
 impl Default for ServerConfig {
@@ -162,9 +157,6 @@ impl Default for ServerConfig {
             journal_dir: None,
             journal_fsync_every: 8,
             journal_segment_bytes: 8 << 20,
-            verdict_capacity: 256,
-            peer_name: None,
-            peers: Vec::new(),
         }
     }
 }
@@ -190,19 +182,9 @@ pub struct ServerStats {
     pub workers_alive: u64,
     /// Analysis-cache accounting.
     pub cache: CacheStats,
-    /// Verdict-cache accounting (all zeros when no journal is attached).
-    pub verdicts: VerdictCacheStats,
-    /// `peer_get` probes this node answered with a warm hit.
-    pub peer_served: u64,
-    /// Peer verdicts whose certificates re-validated locally — served
-    /// warm without a check.
-    pub peer_accepted: u64,
-    /// Peer verdicts whose certificates did *not* re-validate —
-    /// downgraded to a local cold check.
-    pub peer_rejected: u64,
-    /// Peer lookups that found nothing (owner had no verdict, or the
-    /// owner was unreachable).
-    pub peer_misses: u64,
+    /// Responses served `warm`: an analysis-cache hit whose every
+    /// cluster came from the verdict memo, no check run.
+    pub verdict_hits: u64,
     /// Journal accounting, when a journal is attached.
     pub journal: Option<JournalStats>,
     /// Incremental derivation-graph accounting.
@@ -234,7 +216,8 @@ impl std::fmt::Display for ServerStats {
         write!(
             f,
             "{} connection(s), {} request(s), {} overloaded, {} rejected frame(s), \
-             cache {}/{} entries: {} hit(s) / {} miss(es) ({:.0}% hit rate), {} eviction(s)",
+             cache {}/{} entries: {} hit(s) / {} miss(es) ({:.0}% hit rate), {} eviction(s), \
+             {} warm hit(s)",
             self.connections,
             self.requests,
             self.overloaded,
@@ -245,12 +228,13 @@ impl std::fmt::Display for ServerStats {
             self.cache.misses,
             self.cache.hit_rate() * 100.0,
             self.cache.evictions,
+            self.verdict_hits,
         )?;
         if let Some(j) = &self.journal {
             write!(
                 f,
-                ", journal {} appended / {} recovered / {} rejected / {} torn ({} warm hit(s))",
-                j.appended, j.recovered, j.rejected, j.torn, self.verdicts.hits,
+                ", journal {} appended / {} recovered / {} rejected / {} torn",
+                j.appended, j.recovered, j.rejected, j.torn,
             )?;
         }
         Ok(())
@@ -325,7 +309,8 @@ struct Telemetry {
     request_us_hit: Histogram,
     /// Full request latency for analysis-cache misses.
     request_us_miss: Histogram,
-    /// Full request latency for warm verdict-cache hits (no check ran).
+    /// Full request latency for warm responses (every cluster served
+    /// from the verdict memo).
     request_us_warm: Histogram,
     /// Check phase alone (driver run, excluding queue/render).
     check_us: Histogram,
@@ -405,8 +390,8 @@ struct Completion {
 /// Admission priority of a check (the lane it queues in).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
-    /// Program (and config) already warm in the verdict or analysis
-    /// cache: bounded work, large admission budget.
+    /// Program already warm in the analysis cache: bounded work, large
+    /// admission budget.
     Fast,
     /// Unknown program: a full parse/analyse/check, shed first.
     Cold,
@@ -572,13 +557,6 @@ impl Shards {
     }
 }
 
-/// Fabric peer configuration: this node's name plus the consistent-hash
-/// ring every member (and the router) agrees on.
-struct PeerRing {
-    self_name: String,
-    ring: Ring,
-}
-
 /// State shared by the reactor, the workers, and the sampler.
 struct Shared {
     config: ServerConfig,
@@ -596,14 +574,10 @@ struct Shared {
     /// fast-lane without parsing anything on the event loop.
     key_memo: Mutex<HashMap<u64, u64>>,
     cache: AnalysisCache,
-    verdicts: VerdictCache,
     /// The attached journal, `None` for memory-only serving. Appends
-    /// are serialized under the mutex; reads never take it (the verdict
-    /// cache is the read path).
+    /// are serialized under the mutex; requests never read it (startup
+    /// replays it into the session memos).
     journal: Option<Mutex<Journal>>,
-    /// Fabric membership, `None` for a standalone node. Set at start
-    /// (fixed-port fleets) or via [`Server::set_peers`] (port-0 tests).
-    peers: Mutex<Option<PeerRing>>,
     shutdown: CancelToken,
     telemetry: Telemetry,
     connections: AtomicU64,
@@ -619,10 +593,7 @@ struct Shared {
     replayed: AtomicBool,
     journal_recovered: AtomicU64,
     journal_rejected: AtomicU64,
-    peer_served: AtomicU64,
-    peer_accepted: AtomicU64,
-    peer_rejected: AtomicU64,
-    peer_misses: AtomicU64,
+    verdict_hits: AtomicU64,
     incr_fn_hits: AtomicU64,
     incr_cfa_reused: AtomicU64,
     incr_fixpoint_reused: AtomicU64,
@@ -644,11 +615,7 @@ impl Shared {
             supervisor_restarts: self.supervisor_restarts.load(Ordering::Relaxed),
             workers_alive: self.workers_alive.load(Ordering::Relaxed) as u64,
             cache: self.cache.stats(),
-            verdicts: self.verdicts.stats(),
-            peer_served: self.peer_served.load(Ordering::Relaxed),
-            peer_accepted: self.peer_accepted.load(Ordering::Relaxed),
-            peer_rejected: self.peer_rejected.load(Ordering::Relaxed),
-            peer_misses: self.peer_misses.load(Ordering::Relaxed),
+            verdict_hits: self.verdict_hits.load(Ordering::Relaxed),
             journal: self.journal_stats(),
             incr: IncrStats {
                 fn_hits: self.incr_fn_hits.load(Ordering::Relaxed),
@@ -699,6 +666,7 @@ impl Shared {
             ("server.cache_updates".to_owned(), s.cache.updates),
             ("server.cache_evictions".to_owned(), s.cache.evictions),
             ("server.cache_len".to_owned(), s.cache.len as u64),
+            ("server.verdict_hits".to_owned(), s.verdict_hits),
             ("incr.fn_hits".to_owned(), s.incr.fn_hits),
             ("incr.cfa_reused".to_owned(), s.incr.cfa_reused),
             ("incr.fixpoint_reused".to_owned(), s.incr.fixpoint_reused),
@@ -717,17 +685,7 @@ impl Shared {
                 self.telemetry.slow_dropped.load(Ordering::Relaxed),
             ),
         ]);
-        if lock(&self.peers).is_some() {
-            counters.insert("fabric.peer_served".to_owned(), s.peer_served);
-            counters.insert("fabric.peer_accepted".to_owned(), s.peer_accepted);
-            counters.insert("fabric.peer_rejected".to_owned(), s.peer_rejected);
-            counters.insert("fabric.peer_misses".to_owned(), s.peer_misses);
-        }
         if let Some(j) = &s.journal {
-            counters.insert("server.verdict_hits".to_owned(), s.verdicts.hits);
-            counters.insert("server.verdict_misses".to_owned(), s.verdicts.misses);
-            counters.insert("server.verdict_evictions".to_owned(), s.verdicts.evictions);
-            counters.insert("server.verdict_len".to_owned(), s.verdicts.len as u64);
             counters.insert("server.journal_appended".to_owned(), j.appended);
             counters.insert("server.journal_append_faults".to_owned(), j.append_faults);
             counters.insert("server.journal_recovered".to_owned(), j.recovered);
@@ -754,21 +712,15 @@ impl Shared {
 
     /// Classifies a check for admission: [`Tier::Fast`] when the raw
     /// request text maps (via the worker-maintained memo) to a content
-    /// key that is warm in the verdict cache or the analysis cache,
-    /// [`Tier::Cold`] otherwise. Runs on the reactor, so it must not
-    /// parse the program — one hash and two bounded map probes, none of
-    /// which touch cache accounting.
+    /// key that is warm in the analysis cache, [`Tier::Cold`] otherwise.
+    /// Runs on the reactor, so it must not parse the program — one hash
+    /// and two bounded map probes, neither of which touches cache
+    /// accounting.
     fn classify(&self, req: &wire::Request) -> Tier {
         let raw = journal::content_hash(req.source.as_bytes());
         let Some(key) = lock(&self.key_memo).get(&raw).copied() else {
             return Tier::Cold;
         };
-        if self.journal.is_some() {
-            let fingerprint = config_fingerprint(req, self.config.default_time_budget);
-            if self.verdicts.contains((key, fingerprint)) {
-                return Tier::Fast;
-            }
-        }
         if self.cache.contains(key) {
             Tier::Fast
         } else {
@@ -789,23 +741,6 @@ impl Shared {
         memo.insert(raw, key);
     }
 
-    /// Makes a stable verdict warm and durable: the one write path into
-    /// the verdict cache and the journal, for fresh checks and
-    /// gate-admitted peer verdicts alike. Append failures (real or
-    /// injected) degrade durability, never serving.
-    fn store_verdict(&self, key: u64, fingerprint: u64, entry: VerdictEntry) -> Arc<VerdictEntry> {
-        let entry = Arc::new(entry);
-        self.verdicts.insert((key, fingerprint), entry.clone());
-        if let Some(j) = &self.journal {
-            let _ = lock(j).append(&JournalRecord {
-                key,
-                fingerprint,
-                entry: entry.clone(),
-            });
-        }
-        entry
-    }
-
     /// Hands a finished check back to the reactor.
     fn complete(&self, completion: Completion) {
         lock(&self.completions).push_back(completion);
@@ -813,9 +748,9 @@ impl Shared {
     }
 
     /// Answers one non-check op. These bypass the admission pool on
-    /// purpose — the reactor answers them inline, so telemetry, health
-    /// probes, and peer fetches stay reachable even with every worker
-    /// wedged on slow checks.
+    /// purpose — the reactor answers them inline, so telemetry and
+    /// health probes stay reachable even with every worker wedged on
+    /// slow checks.
     fn inline_response(&self, incoming: wire::Incoming) -> wire::Response {
         match incoming {
             wire::Incoming::Metrics { id } => {
@@ -839,32 +774,6 @@ impl Shared {
                 workers_alive: self.workers_alive.load(Ordering::Relaxed) as u64,
                 journal: self.journal_stats().map(|j| journal_stats_json(&j)),
             },
-            wire::Incoming::PeerGet {
-                id,
-                key,
-                fingerprint,
-            } => {
-                // Answered from the verdict cache with a peek: a peer's
-                // probe is not a local request and must not skew the
-                // warm accounting or the LRU clock. The asking node
-                // validates the certificate — this side only hands over
-                // the evidence.
-                let entry = self.verdicts.peek((key, fingerprint));
-                if entry.is_some() {
-                    self.peer_served.fetch_add(1, Ordering::Relaxed);
-                    obs::counter("fabric.peer_served").inc();
-                }
-                let entry = entry.as_deref();
-                wire::Response::PeerVerdict {
-                    id,
-                    hit: entry.is_some(),
-                    exit: entry.map_or(0, |e| e.exit),
-                    render: entry.map(|e| e.render.clone()).unwrap_or_default(),
-                    clusters: entry.map(|e| e.clusters.clone()).unwrap_or_default(),
-                    trace: entry
-                        .map(|e| Json::parse(&e.trace_json).expect("stored traces are valid JSON")),
-                }
-            }
             wire::Incoming::Check(req) => wire::Response::Error {
                 id: req.id,
                 error: "internal: check is not an inline op".into(),
@@ -913,7 +822,6 @@ impl Server {
         // answered from the `replayed` flag, which is only set once
         // every recovered verdict has passed the certificate gate.
         let cache = AnalysisCache::new(config.cache_capacity);
-        let verdicts = VerdictCache::new(config.verdict_capacity);
         let mut recovered = 0;
         let mut rejected = 0;
         let journal = match &config.journal_dir {
@@ -926,16 +834,12 @@ impl Server {
                     // plan governs driver, wire, and journal alike.
                     faults: config.faults.clone(),
                 })?;
-                (recovered, rejected) = recover_journal(&mut journal, &cache, &verdicts);
+                (recovered, rejected) = recover_journal(&mut journal, &cache);
                 Some(Mutex::new(journal))
             }
             None => None,
         };
 
-        let peers = config.peer_name.as_ref().map(|name| PeerRing {
-            self_name: name.clone(),
-            ring: Ring::new(config.peers.iter().cloned()),
-        });
         let shared = Arc::new(Shared {
             shards: Shards::new(jobs, config.fast_queue_capacity, config.queue_capacity),
             completions: Mutex::new(VecDeque::new()),
@@ -943,9 +847,7 @@ impl Server {
             inflight: AtomicUsize::new(0),
             key_memo: Mutex::new(HashMap::new()),
             cache,
-            verdicts,
             journal,
-            peers: Mutex::new(peers),
             shutdown: CancelToken::new(),
             telemetry: Telemetry::new(&config),
             connections: AtomicU64::new(0),
@@ -959,10 +861,7 @@ impl Server {
             replayed: AtomicBool::new(true),
             journal_recovered: AtomicU64::new(recovered),
             journal_rejected: AtomicU64::new(rejected),
-            peer_served: AtomicU64::new(0),
-            peer_accepted: AtomicU64::new(0),
-            peer_rejected: AtomicU64::new(0),
-            peer_misses: AtomicU64::new(0),
+            verdict_hits: AtomicU64::new(0),
             incr_fn_hits: AtomicU64::new(0),
             incr_cfa_reused: AtomicU64::new(0),
             incr_fixpoint_reused: AtomicU64::new(0),
@@ -1037,19 +936,6 @@ impl Server {
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Joins (or re-shapes) the fabric after start: this node is
-    /// `self_name`, the full membership — this node included — is
-    /// `members` as `(name, addr)` pairs. Port-0 fleets need this
-    /// (addresses only exist once every member has bound); fixed-port
-    /// deployments can configure [`ServerConfig::peer_name`] /
-    /// [`ServerConfig::peers`] instead.
-    pub fn set_peers(&self, self_name: &str, members: &[(String, String)]) {
-        *lock(&self.shared.peers) = Some(PeerRing {
-            self_name: self_name.to_owned(),
-            ring: Ring::new(members.iter().cloned()),
-        });
     }
 
     /// Live accounting.
@@ -1170,11 +1056,7 @@ fn supervised(shared: &Arc<Shared>, role: &str, mut body: impl FnMut()) {
 /// a recovered journal.** Every intact record passes [`admit`]; anything
 /// less downgrades to a plain miss: the verdict is simply re-derived on
 /// first request, which costs latency, never soundness.
-fn recover_journal(
-    journal: &mut Journal,
-    cache: &AnalysisCache,
-    verdicts: &VerdictCache,
-) -> (u64, u64) {
+fn recover_journal(journal: &mut Journal, cache: &AnalysisCache) -> (u64, u64) {
     let mut recovered = 0;
     let mut rejected = 0;
     let mut live: Vec<JournalRecord> = Vec::new();
@@ -1184,11 +1066,11 @@ fn recover_journal(
             ReplayItem::Torn(_) => continue, // counted by the journal
         };
         let corrupt = journal.replay_corrupts(record.key);
-        match admit(cache, record.key, &record.entry, "<journal>", corrupt) {
-            Ok(()) => {
+        match admit(&record, corrupt) {
+            Ok(session) => {
                 recovered += 1;
                 obs::counter("journal.recovered").inc();
-                verdicts.insert((record.key, record.fingerprint), record.entry.clone());
+                cache.admit(record.key, Arc::new(session));
                 live.push(record);
             }
             Err(_rejection) => {
@@ -1204,21 +1086,18 @@ fn recover_journal(
     (recovered, rejected)
 }
 
-/// The certificate gate for a verdict this daemon did not derive:
-/// recovered from the journal or fetched from a fabric peer. The entry
-/// passes [`certify::certify`] — its trace recompiles to `key`, every
-/// served cluster name, label, rendered line, and the exit code match
-/// the trace's claims, and every certificate re-validates. Nothing in
-/// the entry is trusted as received. On `Ok` the recompiled session is
-/// warm in the analysis cache and the entry may be served; on `Err`
-/// nothing was admitted anywhere.
-fn admit(
-    cache: &AnalysisCache,
-    key: u64,
-    entry: &VerdictEntry,
-    origin: &str,
-    corrupt: bool,
-) -> Result<(), certify::Rejection> {
+/// The certificate gate for a journaled verdict, which this daemon did
+/// not derive. The entry passes [`certify::certify`] — its trace
+/// recompiles to the record's key, every served cluster name, label,
+/// rendered line, and the exit code match the trace's claims, and every
+/// certificate re-validates — and its clusters are rebuilt from the
+/// certified trace into the recompiled session's verdict memo, under
+/// the record's fingerprint. Nothing in the entry is trusted as
+/// received except the effort columns (refinements, wall time), which
+/// no certificate covers. On `Ok` the session may be admitted to the
+/// analysis cache; on `Err` nothing was stored anywhere.
+fn admit(record: &JournalRecord, corrupt: bool) -> Result<Session, certify::Rejection> {
+    let entry = &record.entry;
     let clusters: Vec<(&str, &str)> = entry
         .clusters
         .iter()
@@ -1231,15 +1110,23 @@ fn admit(
     };
     let certified = certify::certify(
         &entry.trace_json,
-        origin,
+        "<journal>",
         &certify::Expect {
-            key: Some(key),
+            key: Some(record.key),
             served: Some(served),
             corrupt,
         },
     )?;
-    cache.admit(key, Arc::new(certified.session));
-    Ok(())
+    let effort: Vec<(usize, Duration)> = entry
+        .clusters
+        .iter()
+        .map(|c| (c.refinements as usize, Duration::from_micros(c.wall_us)))
+        .collect();
+    let reports = certified.cluster_reports(&effort)?;
+    certified
+        .session
+        .store_certified(record.fingerprint, reports);
+    Ok(certified.session)
 }
 
 /// Pushes one metrics snapshot into the ring every
@@ -1398,46 +1285,6 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
     // next request with these exact bytes rides the fast lane.
     shared.remember_key(&req.source, session.key());
 
-    // With a journal attached, a completed verdict for this exact
-    // (program, configuration) pair may already be warm — from an
-    // earlier request this run, or recovered (and certificate-
-    // re-validated) from the journal across a restart. On a local miss
-    // the fabric member that owns this content key may hold one:
-    // fetching and re-validating it is far cheaper than a cold check,
-    // and a failed fetch (or a failed gate) falls through to the cold
-    // path below. A warm verdict is served verbatim: no check runs, the
-    // render is byte-identical to what was first served.
-    let journaling = shared.journal.is_some();
-    let fingerprint = config_fingerprint(req, shared.config.default_time_budget);
-    let warm = if journaling {
-        shared
-            .verdicts
-            .get((session.key(), fingerprint))
-            .or_else(|| peer_tier(job, shared, session.key(), fingerprint))
-    } else {
-        None
-    };
-    if let Some(entry) = warm {
-        let wall_us = job.admitted.elapsed().as_micros() as u64;
-        shared.telemetry.request_us_warm.record(wall_us);
-        let certificate = req
-            .want_certificate
-            .then(|| Json::parse(&entry.trace_json).expect("stored traces are valid JSON"));
-        let stats = req.want_stats.then(|| stats_json(shared));
-        return wire::Response::Ok {
-            id: req.id.clone(),
-            cache_hit,
-            warm: true,
-            exit: entry.exit,
-            render: entry.render.clone(),
-            clusters: entry.clusters.clone(),
-            wall_us,
-            queue_us,
-            certificate,
-            stats,
-        };
-    }
-
     let mut config = CheckerConfig {
         reducer: if req.no_slicing {
             Reducer::Identity
@@ -1464,13 +1311,14 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
     }
 
     let check_started = Instant::now();
-    // Certificate-gated verdict reuse: clusters whose dependency keys
-    // survived the last edit are served from the session's verdict memo
-    // after their certificates re-validate against the current
-    // analyses; only invalidated (or gate-rejected) clusters re-run,
-    // seeded with the reused clusters' refinement predicates.
+    // The session's verdict memo is the daemon's only verdict store.
+    // Each cluster whose stored verdict matches its dependency key and
+    // this request's configuration — stored by an earlier request, an
+    // edit's predecessor, or journal recovery — is served once its
+    // certificate re-validates against the current analyses; only the
+    // other clusters re-run.
     let reuse_gate = certify::validator(FaultPlan::default());
-    let (report, reuse) = session.check_incremental(config, &driver, Some(&reuse_gate), true);
+    let (report, reuse) = session.check_incremental(config, &driver, Some(&reuse_gate));
     shared
         .incr_verdict_reused
         .fetch_add(reuse.verdict_reused as u64, Ordering::Relaxed);
@@ -1482,10 +1330,17 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
         .check_us
         .record(check_started.elapsed().as_micros() as u64);
     let wall_us = job.admitted.elapsed().as_micros() as u64;
-    // Latency keyed by cache verdict: a hit skips parse/lower/build, so
-    // the two populations have very different shapes — folding them
-    // into one histogram would hide regressions in either.
-    if cache_hit {
+    // Warm: the program was resident and no cluster re-ran.
+    let warm = cache_hit && reuse.recomputed == 0;
+    // Latency keyed by cache verdict: a hit skips parse/lower/build and
+    // a warm hit skips the checks too, so the populations have very
+    // different shapes — folding them into one histogram would hide
+    // regressions in any of them.
+    if warm {
+        shared.verdict_hits.fetch_add(1, Ordering::Relaxed);
+        obs::counter("server.verdict_hits").inc();
+        shared.telemetry.request_us_warm.record(wall_us);
+    } else if cache_hit {
         shared.telemetry.request_us_hit.record(wall_us);
     } else {
         shared.telemetry.request_us_miss.record(wall_us);
@@ -1508,11 +1363,11 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
     let (render, exit) = render_verdicts(session.program(), &cluster_reports);
 
     // Only *stable* complete verdicts (every cluster SAFE or BUG, i.e.
-    // exit ≤ 1) are cached and journaled: they carry certificates the
-    // recovery gate can re-validate. Timeouts, internal errors, and
-    // mismatches are re-derived every time.
-    let complete = exit <= 1;
-    let trace_json = (req.want_certificate || (journaling && complete)).then(|| {
+    // exit ≤ 1) are journaled: they carry certificates the recovery
+    // gate can re-validate. Timeouts, internal errors, and mismatches
+    // are re-derived every time, and a warm verdict is on disk already.
+    let append_to = shared.journal.as_ref().filter(|_| exit <= 1 && !warm);
+    let trace_json = (req.want_certificate || append_to.is_some()).then(|| {
         certify::to_json(&certify::certify_report(
             session.analyses(),
             &report,
@@ -1526,17 +1381,19 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
     } else {
         None
     };
-    if journaling && complete {
-        shared.store_verdict(
-            session.key(),
-            fingerprint,
-            VerdictEntry {
+    if let (Some(journal), Some(trace_json)) = (append_to, trace_json) {
+        // Append failures (real or injected) degrade durability, never
+        // serving.
+        let _ = lock(journal).append(&JournalRecord {
+            key: session.key(),
+            fingerprint: blastlite::config_fingerprint(&config, &driver),
+            entry: VerdictEntry {
                 exit,
                 render: render.clone(),
                 clusters: clusters.clone(),
-                trace_json: trace_json.expect("trace built for every journaled verdict"),
+                trace_json,
             },
-        );
+        });
     }
 
     let stats = req.want_stats.then(|| stats_json(shared));
@@ -1544,7 +1401,7 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
     wire::Response::Ok {
         id: req.id.clone(),
         cache_hit,
-        warm: false,
+        warm,
         exit,
         render,
         clusters,
@@ -1553,127 +1410,6 @@ fn process(job: &Job, shared: &Shared) -> wire::Response {
         certificate,
         stats,
     }
-}
-
-/// How long each step of a peer fetch may take (connect; send and read
-/// one line). A slow or dead owner must cost less than the cold check
-/// the fetch is trying to save; past this the node simply checks locally.
-const PEER_FETCH_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// The fabric peer verdict tier: on a local verdict-cache miss, ask the
-/// ring owner of this content key for its journaled verdict, and admit
-/// it **only** after the certificate gate passes — the journal recovery
-/// invariant extended across the wire. Anything else (owner is self,
-/// owner unreachable, owner misses, torn frame, failed gate) returns
-/// `None` and the caller runs a local cold check; the tier can degrade
-/// latency, never correctness and never availability.
-fn peer_tier(job: &Job, shared: &Shared, key: u64, fingerprint: u64) -> Option<Arc<VerdictEntry>> {
-    let owner_addr = {
-        let peers = lock(&shared.peers);
-        let peers = peers.as_ref()?;
-        let owner = peers.ring.owner(key)?;
-        if owner.name == peers.self_name {
-            return None; // this node owns the key: nothing to ask
-        }
-        owner.addr.clone()
-    };
-    let count = |local: &AtomicU64, name: &'static str| {
-        local.fetch_add(1, Ordering::Relaxed);
-        obs::counter(name).inc();
-    };
-    // Injected fabric faults, keyed by the program's content key so a
-    // chaos drill can predict exactly which fetches are damaged.
-    let fault = shared
-        .config
-        .faults
-        .fire(FaultSite::PeerFetch, &format!("{key:016x}"));
-    match fault {
-        Some(FaultKind::Stall) => {
-            // A slow peer: burn half the fetch budget before even
-            // connecting. The fetch still has to fit the overall
-            // timeout, so a stalled owner degrades to a miss, bounded.
-            count(&shared.wire_faults, "server.wire_faults");
-            std::thread::sleep(PEER_FETCH_TIMEOUT / 2);
-        }
-        Some(FaultKind::IoError) => {
-            // The fetch fails outright — owner unreachable.
-            count(&shared.wire_faults, "server.wire_faults");
-            count(&shared.peer_misses, "fabric.peer_misses");
-            return None;
-        }
-        // Applied to the fetched line below.
-        Some(FaultKind::TornWrite) => count(&shared.wire_faults, "server.wire_faults"),
-        _ => {}
-    }
-    // Unpooled and short-deadlined: a dead or wedged owner costs one
-    // timeout before the downgrade to a cold check.
-    let frame = wire::peer_get_request_json(&job.request.id, key, fingerprint) + "\n";
-    let fetched = net::exchange(
-        &owner_addr,
-        frame.as_bytes(),
-        PEER_FETCH_TIMEOUT,
-        PEER_FETCH_TIMEOUT,
-    )
-    .map(|(mut line, _)| {
-        if fault == Some(FaultKind::TornWrite) {
-            // The peer's response is torn mid-frame: the parse below
-            // must fail and downgrade to a miss.
-            line.truncate(line.len() / 2);
-        }
-        wire::Response::from_json(line.trim_end())
-    });
-    let Ok(Ok(wire::Response::PeerVerdict {
-        hit: true,
-        exit,
-        render,
-        clusters,
-        trace: Some(trace),
-        ..
-    })) = fetched
-    else {
-        // An unreachable owner, a miss frame, a torn/foreign frame, or a
-        // hit without its trace: nothing servable either way.
-        count(&shared.peer_misses, "fabric.peer_misses");
-        return None;
-    };
-    let entry = VerdictEntry {
-        exit,
-        render,
-        clusters,
-        trace_json: trace.to_text(),
-    };
-    let corrupt = fault == Some(FaultKind::CorruptCertificate);
-    if let Err(_rejection) = admit(&shared.cache, key, &entry, "<peer>", corrupt) {
-        count(&shared.peer_rejected, "fabric.peer_rejected");
-        return None; // downgrade: the local cold check derives the truth
-    }
-    // Gate passed: the verdict is as trustworthy as a locally-derived
-    // one. Warm and journal it — the key now survives a restart of
-    // *this* node too, and future peers can fetch it from here.
-    let entry = shared.store_verdict(key, fingerprint, entry);
-    count(&shared.peer_accepted, "fabric.peer_accepted");
-    Some(entry)
-}
-
-/// Fingerprint of the checker configuration a request resolves to —
-/// the second half of the verdict-cache key. Covers every knob that can
-/// change a verdict or its evidence (reducer, search order, budget,
-/// retries, validation); excludes `deadline_ms` (a property of one call,
-/// not of the result) and the `certificate`/`stats` wants (response
-/// shaping, not checking).
-fn config_fingerprint(req: &wire::Request, default_budget: Duration) -> u64 {
-    let budget_us = req
-        .timeout_s
-        .map_or(default_budget.as_micros() as u64, |t| {
-            (t * 1_000_000.0) as u64
-        });
-    journal::content_hash(
-        format!(
-            "slicing={} dfs={} retries={} validate={} budget_us={budget_us}",
-            !req.no_slicing, req.dfs, req.retries, req.validate
-        )
-        .as_bytes(),
-    )
 }
 
 /// The `stats` payload: server accounting plus the server-owned latency
@@ -1737,8 +1473,7 @@ fn stats_json(shared: &Shared) -> Json {
                     Json::Num(s.supervisor_restarts as i64),
                 ),
                 ("workers_alive".into(), Json::Num(s.workers_alive as i64)),
-                ("verdict_hits".into(), Json::Num(s.verdicts.hits as i64)),
-                ("verdict_misses".into(), Json::Num(s.verdicts.misses as i64)),
+                ("verdict_hits".into(), Json::Num(s.verdict_hits as i64)),
             ]),
         ),
         (

@@ -1,7 +1,7 @@
-//! Bounded one-line transport for daemon-to-daemon calls: the peer
-//! verdict tier and the fabric router's health probes and relays. Every
-//! call runs under hard deadlines, so a dead or wedged peer costs at
-//! most a timeout and never wedges the calling thread.
+//! Bounded one-line transport for calls between fabric processes: the
+//! router's health probes and relays. Every call runs under hard
+//! deadlines, so a dead or wedged member costs at most a timeout and
+//! never wedges the calling thread.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -17,10 +17,9 @@
 //! * **v2 pipelines.** Every v2 frame carries a mandatory id, so checks
 //!   are admitted as they arrive and completions are written in finish
 //!   order; the id is the client's correlation handle.
-//! * **Inline ops never queue.** `ping`/`metrics`/`slow_traces`/
-//!   `peer_get` are answered directly on the event loop
-//!   ([`Shared::inline_response`]), so telemetry and health stay
-//!   reachable with every worker wedged.
+//! * **Inline ops never queue.** `ping`/`metrics`/`slow_traces` are
+//!   answered directly on the event loop ([`Shared::inline_response`]),
+//!   so telemetry and health stay reachable with every worker wedged.
 //! * **One shed path.** Every shed — cold lane full, fast lane full,
 //!   pool closed for drain, or an accept-time resource failure — funnels
 //!   through [`shed_response`], so `server.overloaded` reconciles

@@ -32,14 +32,7 @@ pub const WIRE_SCHEMA_V2: &str = "pathslice-wire/v2";
 /// wire (plus the implicit `check` default). The spec cross-check test
 /// asserts each of these appears in `docs/WIRE.md`, so adding an op
 /// without documenting it fails CI.
-pub const SPEC_OPS: &[&str] = &[
-    "check",
-    "metrics",
-    "slow_traces",
-    "ping",
-    "health",
-    "peer_get",
-];
+pub const SPEC_OPS: &[&str] = &["check", "metrics", "slow_traces", "ping", "health"];
 
 /// Which protocol revision a frame was parsed under (see `docs/WIRE.md`
 /// §versioning). Responses must echo the requester's revision.
@@ -94,19 +87,6 @@ pub enum Incoming {
         /// Client-chosen correlation id.
         id: String,
     },
-    /// Fabric peer lookup (`op: "peer_get"`; answered inline): does the
-    /// responder's verdict cache hold a journaled verdict for this
-    /// content key + configuration fingerprint? The answer always
-    /// carries the certificate trace — the asking node re-validates it
-    /// locally before trusting anything in the frame.
-    PeerGet {
-        /// Client-chosen correlation id.
-        id: String,
-        /// Content key of the resolved program.
-        key: u64,
-        /// Fingerprint of the checker configuration.
-        fingerprint: u64,
-    },
 }
 
 impl Incoming {
@@ -151,72 +131,40 @@ impl Incoming {
             Some("metrics") => Ok(Incoming::Metrics { id }),
             Some("slow_traces") => Ok(Incoming::SlowTraces { id }),
             Some("ping" | "health") => Ok(Incoming::Ping { id }),
-            Some("peer_get") => {
-                let hex = |name: &str| -> Result<u64, JsonError> {
-                    doc.field(name)
-                        .and_then(Json::as_str)
-                        .and_then(|s| u64::from_str_radix(s, 16).ok())
-                        .ok_or_else(|| bad(&format!("missing hex field `{name}`")))
-                };
-                Ok(Incoming::PeerGet {
-                    id,
-                    key: hex("key")?,
-                    fingerprint: hex("fp")?,
-                })
-            }
             Some(other) => Err(bad(&format!("unknown `op` `{other}`"))),
         }?;
         Ok((incoming, version))
     }
 }
 
-fn op_request_frame(
-    op: &str,
-    id: &str,
-    version: WireVersion,
-    extra: Vec<(String, Json)>,
-) -> String {
-    let mut fields = vec![
+fn op_request_frame(op: &str, id: &str, version: WireVersion) -> String {
+    Json::Obj(vec![
         ("schema".into(), Json::Str(version.schema().into())),
         ("op".into(), Json::Str(op.into())),
         ("id".into(), Json::Str(id.to_owned())),
-    ];
-    fields.extend(extra);
-    Json::Obj(fields).to_text()
+    ])
+    .to_text()
 }
 
 /// The frame a [`Incoming::Metrics`] request serializes to (v1).
 pub fn metrics_request_json(id: &str) -> String {
-    op_request_frame("metrics", id, WireVersion::V1, Vec::new())
+    op_request_frame("metrics", id, WireVersion::V1)
 }
 
 /// The frame a [`Incoming::SlowTraces`] request serializes to (v1).
 pub fn slow_traces_request_json(id: &str) -> String {
-    op_request_frame("slow_traces", id, WireVersion::V1, Vec::new())
+    op_request_frame("slow_traces", id, WireVersion::V1)
 }
 
 /// The frame a [`Incoming::Ping`] request serializes to (v1).
 pub fn ping_request_json(id: &str) -> String {
-    op_request_frame("ping", id, WireVersion::V1, Vec::new())
+    op_request_frame("ping", id, WireVersion::V1)
 }
 
 /// The frame a [`Incoming::Ping`] request serializes to under the given
 /// revision (the fabric router probes members with v2 pings).
 pub fn ping_request_json_versioned(id: &str, version: WireVersion) -> String {
-    op_request_frame("ping", id, version, Vec::new())
-}
-
-/// The frame a [`Incoming::PeerGet`] request serializes to (v1).
-pub fn peer_get_request_json(id: &str, key: u64, fingerprint: u64) -> String {
-    op_request_frame(
-        "peer_get",
-        id,
-        WireVersion::V1,
-        vec![
-            ("key".into(), Json::Str(format!("{key:016x}"))),
-            ("fp".into(), Json::Str(format!("{fingerprint:016x}"))),
-        ],
-    )
+    op_request_frame("ping", id, version)
 }
 
 /// One verification request.
@@ -394,10 +342,11 @@ pub enum Response {
         id: String,
         /// Whether the analysis cache already held the program.
         cache_hit: bool,
-        /// Whether the verdict was served warm from the verdict cache
-        /// (no check ran) — possibly recovered from the journal across
-        /// a restart. Warm verdicts are always certificate-validated
-        /// before they become servable.
+        /// Whether every cluster was served from the verdict store (the
+        /// analysis cache held the program and no cluster was
+        /// re-checked) — possibly recovered from the journal across a
+        /// restart. Stored verdicts are certificate-validated before
+        /// they are served.
         warm: bool,
         /// `pathslice check` exit code for these verdicts.
         exit: i32,
@@ -457,26 +406,6 @@ pub enum Response {
         /// `torn`/…), when a journal is attached.
         journal: Option<Json>,
     },
-    /// Fabric peer lookup answer. On a hit the frame carries the full
-    /// journaled verdict *plus its certificate trace*; the asker must
-    /// recompile the embedded source and re-validate the trace before
-    /// serving any of it (nothing in this frame is trusted as received).
-    PeerVerdict {
-        /// Echoed request id.
-        id: String,
-        /// Whether the responder's verdict cache held `(key, fp)`.
-        hit: bool,
-        /// `pathslice check` exit code (hit only).
-        exit: i32,
-        /// Verdicts rendered exactly as `pathslice check` prints them
-        /// (hit only).
-        render: String,
-        /// Structured per-cluster verdicts (hit only).
-        clusters: Vec<ClusterVerdict>,
-        /// `pathslice-trace/v1` certificate document (hit only) — the
-        /// thing the asker's certificate gate validates.
-        trace: Option<Json>,
-    },
 }
 
 impl Response {
@@ -488,8 +417,7 @@ impl Response {
             | Response::Error { id, .. }
             | Response::Metrics { id, .. }
             | Response::SlowTraces { id, .. }
-            | Response::Health { id, .. }
-            | Response::PeerVerdict { id, .. } => id,
+            | Response::Health { id, .. } => id,
         }
     }
 
@@ -591,30 +519,6 @@ impl Response {
                 }
                 Json::Obj(fields)
             }
-            Response::PeerVerdict {
-                id,
-                hit,
-                exit,
-                render,
-                clusters,
-                trace,
-            } => {
-                let mut fields = vec![
-                    ("schema".into(), schema()),
-                    ("id".into(), Json::Str(id.clone())),
-                    ("status".into(), Json::Str("peer_verdict".into())),
-                    ("hit".into(), Json::Bool(*hit)),
-                ];
-                if *hit {
-                    fields.push(("exit".into(), Json::Num(*exit as i64)));
-                    fields.push(("render".into(), Json::Str(render.clone())));
-                    fields.push(("clusters".into(), clusters_to_json(clusters)));
-                    if let Some(t) = trace {
-                        fields.push(("trace".into(), t.clone()));
-                    }
-                }
-                Json::Obj(fields)
-            }
         };
         doc.to_text()
     }
@@ -679,34 +583,6 @@ impl Response {
                     .unwrap_or("unknown error")
                     .to_owned(),
             }),
-            Some("peer_verdict") => {
-                let hit = matches!(doc.field("hit"), Some(Json::Bool(true)));
-                if !hit {
-                    return Ok(Response::PeerVerdict {
-                        id,
-                        hit: false,
-                        exit: 0,
-                        render: String::new(),
-                        clusters: Vec::new(),
-                        trace: None,
-                    });
-                }
-                Ok(Response::PeerVerdict {
-                    id,
-                    hit: true,
-                    exit: doc
-                        .field("exit")
-                        .and_then(Json::as_i64)
-                        .ok_or_else(|| bad("missing `exit`"))? as i32,
-                    render: doc
-                        .field("render")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("missing `render`"))?
-                        .to_owned(),
-                    clusters: clusters_from_json(&doc)?,
-                    trace: doc.field("trace").cloned(),
-                })
-            }
             Some("ok") => {
                 let num = |name: &str| -> Result<i64, JsonError> {
                     doc.field(name)
@@ -740,9 +616,8 @@ impl Response {
     }
 }
 
-/// Serializes structured cluster verdicts (shared by `ok` and
-/// `peer_verdict` frames and by journal records, which must agree
-/// byte-for-byte on this shape).
+/// Serializes structured cluster verdicts (shared by `ok` frames and
+/// journal records, which must agree byte-for-byte on this shape).
 pub(crate) fn clusters_to_json(clusters: &[ClusterVerdict]) -> Json {
     Json::Arr(
         clusters
@@ -971,74 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn peer_get_roundtrips_and_rejects_missing_hex() {
-        let frame = peer_get_request_json("pg-1", 0xDEAD_BEEF, 0xF00D);
-        assert_eq!(
-            Incoming::from_json(&frame).unwrap(),
-            Incoming::PeerGet {
-                id: "pg-1".into(),
-                key: 0xDEAD_BEEF,
-                fingerprint: 0xF00D,
-            }
-        );
-        assert!(!frame.contains('\n'), "frames stay single-line");
-        assert!(
-            Incoming::from_json("{\"schema\":\"pathslice-wire/v1\",\"op\":\"peer_get\"}").is_err(),
-            "key/fp are mandatory"
-        );
-        assert!(Incoming::from_json(
-            "{\"schema\":\"pathslice-wire/v1\",\"op\":\"peer_get\",\"key\":\"zz\",\"fp\":\"1\"}"
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn peer_verdict_roundtrips_hit_and_miss() {
-        let hit = Response::PeerVerdict {
-            id: "pv".into(),
-            hit: true,
-            exit: 1,
-            render: "main  BUG\n".into(),
-            clusters: vec![ClusterVerdict {
-                func: "main".into(),
-                sites: 1,
-                verdict: "BUG".into(),
-                refinements: 2,
-                wall_us: 99,
-            }],
-            trace: Some(Json::Obj(vec![(
-                "schema".into(),
-                Json::Str("pathslice-trace/v1".into()),
-            )])),
-        };
-        let miss = Response::PeerVerdict {
-            id: "pv2".into(),
-            hit: false,
-            exit: 0,
-            render: String::new(),
-            clusters: Vec::new(),
-            trace: None,
-        };
-        for resp in [hit, miss] {
-            let frame = resp.to_json();
-            assert!(!frame.contains('\n'), "frames stay single-line");
-            assert_eq!(Response::from_json(&frame).unwrap(), resp, "{resp:?}");
-        }
-        // A miss frame carries no verdict material at all.
-        let miss_frame = Response::PeerVerdict {
-            id: "m".into(),
-            hit: false,
-            exit: 0,
-            render: String::new(),
-            clusters: Vec::new(),
-            trace: None,
-        }
-        .to_json();
-        assert!(!miss_frame.contains("render"));
-        assert!(!miss_frame.contains("trace"));
-    }
-
-    #[test]
     fn v2_frames_parse_with_version_and_require_ids() {
         let mut req = Request::new("fn main() { }");
         req.id = "r1".into();
@@ -1112,7 +919,7 @@ mod tests {
         for op in SPEC_OPS {
             let frame = format!(
                 "{{\"schema\":\"pathslice-wire/v1\",\"op\":\"{op}\",\"id\":\"i\",\
-                 \"source\":\"fn main() {{ }}\",\"key\":\"1\",\"fp\":\"1\"}}"
+                 \"source\":\"fn main() {{ }}\"}}"
             );
             assert!(Incoming::from_json(&frame).is_ok(), "op `{op}` must parse");
         }

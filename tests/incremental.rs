@@ -190,7 +190,7 @@ proptest! {
         // verdict re-admitted, none rejected, render byte-identical to
         // a cold session over the same source.
         let gate = certify::validator(FaultPlan::default());
-        let (warm, reuse) = session.check_incremental(config(), &driver, Some(&gate), false);
+        let (warm, reuse) = session.check_incremental(config(), &driver, Some(&gate));
         prop_assert_eq!(reuse.verdict_reused, total - dependent.len());
         prop_assert_eq!(reuse.cert_rejected, 0);
         prop_assert_eq!(reuse.recomputed, dependent.len());
@@ -232,7 +232,7 @@ proptest! {
             1.0,
         ));
         let gate = certify::validator(FaultPlan::default());
-        let (warm, reuse) = session.check_incremental(config(), &chaos, Some(&gate), false);
+        let (warm, reuse) = session.check_incremental(config(), &chaos, Some(&gate));
         prop_assert_eq!(reuse.verdict_reused, 0, "no corrupted candidate may be reused");
         prop_assert_eq!(reuse.cert_rejected, total - dependent.len());
         prop_assert_eq!(reuse.recomputed, total);

@@ -124,6 +124,54 @@ fn repeat_and_reformatted_requests_hit_the_cache() {
     assert_eq!(stats.cache.len, 1);
 }
 
+/// A request under one checker configuration must never be answered
+/// with verdicts derived under another. Each row checks the program
+/// under a non-default knob first, then under the defaults, on one
+/// daemon: the default answer must be a fresh daemon's cold default
+/// answer (the 3-edge path slice, not the identity reducer's 7-edge
+/// trace), and no cluster verdict may be reused across the two.
+#[test]
+fn a_verdict_is_reused_only_under_the_configuration_it_was_derived_with() {
+    const SLICED: &str = "global x, y; fn main() { local a; a = nondet(); y = 0; \
+                          y = y + 1; y = y + 2; x = a + 1; y = y + 3; \
+                          if (x > 10) { error(); } }";
+    let cold = start(ServerConfig::default());
+    let mut client = Client::connect(cold.local_addr()).unwrap();
+    let (_, cold_exit, cold_render) =
+        ok_response(client.request(&wire::Request::new(SLICED)).unwrap());
+    cold.shutdown();
+    let slice = |render: &str| -> Vec<String> {
+        render
+            .lines()
+            .filter(|l| l.starts_with(' '))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(cold_exit, 1, "{cold_render}");
+    assert_eq!(slice(&cold_render).len(), 3, "{cold_render}");
+
+    let mut no_slicing = wire::Request::new(SLICED);
+    no_slicing.no_slicing = true;
+    let mut dfs = wire::Request::new(SLICED);
+    dfs.dfs = true;
+    for (knob, first) in [("no_slicing", no_slicing), ("dfs", dfs)] {
+        let server = start(ServerConfig::default());
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        ok_response(client.request(&first).unwrap());
+        let (hit, exit, render) = ok_response(client.request(&wire::Request::new(SLICED)).unwrap());
+        let stats = server.shutdown();
+        assert!(hit, "{knob}: same program, so an analysis-cache hit");
+        assert_eq!(exit, cold_exit, "{knob}");
+        assert_eq!(
+            strip_timing(&render),
+            strip_timing(&cold_render),
+            "{knob}: the default answer must be the cold default answer"
+        );
+        assert_eq!(slice(&render), slice(&cold_render), "{knob}: {render}");
+        assert_eq!(stats.incr.verdict_reused, 0, "{knob}: {stats:?}");
+    }
+}
+
 #[test]
 fn full_queue_answers_overloaded_instead_of_queuing() {
     let server = start(ServerConfig {

@@ -7,11 +7,13 @@
 //! exactly the injected damage (fixed seeds make the plans
 //! reproducible).
 
+use pathslicing::incr::hash::fnv64;
+use pathslicing::obs::json::Json;
 use pathslicing::rt::{FaultKind, FaultPlan, FaultSite};
-use server::journal::{Journal, JournalConfig, ReplayItem};
+use server::journal::{Journal, JournalConfig, JournalRecord, ReplayItem};
 use server::{wire, Client, Server, ServerConfig};
+use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 const BUGGY: &str = r#"
@@ -337,7 +339,7 @@ fn a_record_serving_what_its_trace_does_not_prove_is_rejected() {
         let ReplayItem::Intact(mut record) = item else {
             panic!("life 1 left a torn record: {item:?}");
         };
-        let entry = Arc::make_mut(&mut record.entry);
+        let entry = &mut record.entry;
         entry.exit = 0;
         entry.render = entry
             .render
@@ -482,5 +484,267 @@ fn crash_then_recover_serves_identical_verdicts_warm() {
     assert_eq!(exit, exit_before);
     assert_eq!(strip_timing(&render), strip_timing(&render_before));
     let stats = server.shutdown();
-    assert_eq!(stats.verdicts.hits, 1, "{stats}");
+    assert_eq!(stats.verdict_hits, 1, "{stats}");
+}
+
+/// A program with one `BUG` cluster (`main`) and one `SAFE` cluster
+/// that needs a refinement round (`check`), so recovery rebuilds both
+/// certificate kinds.
+const MIXED: &str = r#"
+    global limit, x;
+    fn check() { x = 1; if (x == 2) { error(); } }
+    fn main() {
+        local amount;
+        amount = nondet();
+        check();
+        if (amount > limit) { if (limit == 0) { error(); } }
+    }
+"#;
+
+/// Every node of `doc` as a path of child indices (object fields and
+/// array elements alike), root first.
+fn node_paths(doc: &Json) -> Vec<Vec<usize>> {
+    let mut paths = vec![Vec::new()];
+    let mut i = 0;
+    while i < paths.len() {
+        let n = match node(doc, &paths[i]) {
+            Json::Arr(items) => items.len(),
+            Json::Obj(fields) => fields.len(),
+            _ => 0,
+        };
+        for k in 0..n {
+            let mut p = paths[i].clone();
+            p.push(k);
+            paths.push(p);
+        }
+        i += 1;
+    }
+    paths
+}
+
+fn node<'a>(doc: &'a Json, path: &[usize]) -> &'a Json {
+    path.iter().fold(doc, |node, &k| match node {
+        Json::Arr(items) => &items[k],
+        Json::Obj(fields) => &fields[k].1,
+        _ => unreachable!("paths only descend into containers"),
+    })
+}
+
+fn node_mut<'a>(doc: &'a mut Json, path: &[usize]) -> &'a mut Json {
+    path.iter().fold(doc, |node, &k| match node {
+        Json::Arr(items) => &mut items[k],
+        Json::Obj(fields) => &mut fields[k].1,
+        _ => unreachable!("paths only descend into containers"),
+    })
+}
+
+/// One damaged copy of `honest`: one to three mutations drawn from
+/// dropped fields, wrong types, edge (and variable) ids outside the
+/// program, swapped labels, truncated arrays, and truncated text.
+fn mutate(honest: &JournalRecord, rand: &mut impl FnMut(usize) -> usize) -> JournalRecord {
+    let mut record = honest.clone();
+    let mut trace = Json::parse(&record.entry.trace_json).expect("journaled traces are JSON");
+    for _ in 0..=rand(3) {
+        // A random non-root node of the trace that `keep` accepts.
+        let pick = |trace: &Json, rand: &mut dyn FnMut(usize) -> usize, keep: fn(&Json) -> bool| {
+            let hits: Vec<Vec<usize>> = node_paths(trace)
+                .into_iter()
+                .filter(|p| !p.is_empty() && keep(node(trace, p)))
+                .collect();
+            (!hits.is_empty()).then(|| hits[rand(hits.len())].clone())
+        };
+        match rand(6) {
+            0 => {
+                if let Some(p) = pick(&trace, rand, |j| matches!(j, Json::Obj(f) if !f.is_empty()))
+                {
+                    if let Json::Obj(fields) = node_mut(&mut trace, &p) {
+                        fields.remove(rand(fields.len()));
+                    }
+                }
+            }
+            1 => {
+                if let Some(p) = pick(&trace, rand, |_| true) {
+                    let node = node_mut(&mut trace, &p);
+                    *node = match node {
+                        Json::Str(_) => Json::Num(7),
+                        Json::Num(n) => Json::Str(n.to_string()),
+                        Json::Arr(_) => Json::Obj(Vec::new()),
+                        Json::Obj(_) => Json::Arr(Vec::new()),
+                        _ => Json::Null,
+                    };
+                }
+            }
+            2 => {
+                let id_pair = |j: &Json| {
+                    matches!(j, Json::Arr(v) if (2..=3).contains(&v.len())
+                        && v.iter().all(|n| matches!(n, Json::Num(_))))
+                };
+                if let Some(p) = pick(&trace, rand, id_pair) {
+                    if let Json::Arr(ids) = node_mut(&mut trace, &p) {
+                        ids[rand(2)] = Json::Num([4096, -1, i64::from(u32::MAX) + 1][rand(3)]);
+                    }
+                }
+            }
+            3 => match rand(4) {
+                0 => record.entry.exit ^= 1,
+                1 => {
+                    let c = rand(record.entry.clusters.len());
+                    let v = &mut record.entry.clusters[c].verdict;
+                    *v = if v == "BUG" { "SAFE" } else { "BUG" }.into();
+                }
+                2 => {
+                    let r = &record.entry.render;
+                    record.entry.render = if r.contains("BUG ") {
+                        r.replacen("BUG ", "SAFE", 1)
+                    } else {
+                        r.replacen("SAFE", "BUG ", 1)
+                    };
+                }
+                _ => {
+                    let claim = |j: &Json| matches!(j, Json::Str(s) if s == "Bug" || s == "Safe");
+                    if let Some(p) = pick(&trace, rand, claim) {
+                        let label = node_mut(&mut trace, &p);
+                        let swapped = if *label == Json::Str("Bug".into()) {
+                            "Safe"
+                        } else {
+                            "Bug"
+                        };
+                        *label = Json::Str(swapped.into());
+                    }
+                }
+            },
+            4 => {
+                let array = |j: &Json| matches!(j, Json::Arr(v) if !v.is_empty());
+                if rand(4) == 0 {
+                    let n = rand(record.entry.clusters.len());
+                    record.entry.clusters.truncate(n);
+                } else if let Some(p) = pick(&trace, rand, array) {
+                    if let Json::Arr(items) = node_mut(&mut trace, &p) {
+                        items.truncate(rand(items.len()));
+                    }
+                }
+            }
+            _ => {
+                let source = match &mut trace {
+                    Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == "source"),
+                    _ => None,
+                };
+                let text = match (rand(2), source) {
+                    (0, Some((_, Json::Str(source)))) => source,
+                    _ => &mut record.entry.render,
+                };
+                let cut = rand(text.len() + 1);
+                let cut = (0..=cut).rev().find(|&i| text.is_char_boundary(i));
+                text.truncate(cut.unwrap_or(0));
+            }
+        }
+    }
+    record.entry.trace_json = trace.to_text();
+    record
+}
+
+/// Recovery rebuilds verdict-memo entries from bytes read off disk, so
+/// damaged records must fail cleanly. One honest record is mutated into
+/// many (fixed xorshift seed, as in `tests/wire_v2.rs`), re-checksummed
+/// by compaction so the journal layer reads them back intact, and
+/// replayed by one restart: nothing panics, every intact record is
+/// either recovered or rejected, and the next request answers exactly
+/// what a cold check answers.
+#[test]
+fn mutated_journal_records_fail_recovery_cleanly() {
+    let dir = journal_dir("fuzz-recovery");
+    let server = start(ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (_, cold_exit, cold_render) =
+        ok_response(client.request(&wire::Request::new(MIXED)).unwrap());
+    assert_eq!(cold_exit, 1, "{cold_render}");
+    drop(client);
+    server.shutdown();
+
+    let mut journal = Journal::open(JournalConfig::new(&dir)).unwrap();
+    let honest = match journal.replay().into_iter().next() {
+        Some(ReplayItem::Intact(record)) => record,
+        other => panic!("life 1 journals one intact record: {other:?}"),
+    };
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut rand = move |bound: usize| -> usize {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize % bound.max(1)
+    };
+    let mut records = vec![honest.clone()];
+    records.extend((0..120).map(|_| mutate(&honest, &mut rand)));
+    assert!(
+        records[1..].iter().all(|r| *r != honest),
+        "every mutant differs"
+    );
+    journal.compact(&records);
+    drop(journal);
+    // Truncated JSON cannot pass through compaction, which re-serializes
+    // the trace, so checksummed truncated payloads go into the compacted
+    // segment by hand: they must read back torn and never reach the gate.
+    let segment = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "psj"))
+        .max()
+        .expect("the compacted segment");
+    let text = std::fs::read_to_string(&segment).unwrap();
+    let payload = text.lines().nth(1).and_then(|l| l.splitn(3, ' ').nth(2));
+    let payload = payload.expect("the honest record's line");
+    let mut truncated = String::new();
+    for _ in 0..8 {
+        let cut = rand(payload.len());
+        let cut = (0..=cut).rev().find(|&i| payload.is_char_boundary(i));
+        let cut = &payload[..cut.unwrap_or(0)];
+        truncated += &format!("J1 {:016x} {cut}\n", fnv64(cut.as_bytes()));
+    }
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&segment)
+        .unwrap();
+    file.write_all(truncated.as_bytes()).unwrap();
+    drop(file);
+    let intact = Journal::open(JournalConfig::new(&dir))
+        .unwrap()
+        .replay()
+        .into_iter()
+        .filter(|item| matches!(item, ReplayItem::Intact(_)))
+        .count() as u64;
+    assert!(
+        intact > 100,
+        "compaction re-checksums the mutants: {intact}"
+    );
+
+    let server = start(ServerConfig {
+        journal_dir: Some(dir),
+        ..ServerConfig::default()
+    });
+    let journal = server.stats().journal.expect("journal stats");
+    assert_eq!(journal.recovered + journal.rejected, intact, "{journal:?}");
+    assert_eq!(journal.torn, 8, "{journal:?}");
+    assert!(
+        journal.recovered >= 1,
+        "the honest record recovers: {journal:?}"
+    );
+    assert!(journal.rejected > journal.recovered, "{journal:?}");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (_, exit, render) = ok_response(client.request(&wire::Request::new(MIXED)).unwrap());
+    assert_eq!(exit, cold_exit);
+    assert_eq!(strip_timing(&render), strip_timing(&cold_render));
+    let slice = |r: &str| -> Vec<String> {
+        r.lines()
+            .filter(|l| l.starts_with(' '))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(slice(&render), slice(&cold_render), "{render}");
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!(stats.supervisor_restarts, 0, "{stats:?}");
 }
