@@ -16,7 +16,7 @@
 //!             [--json] [--smoke] [--metrics-out <metrics.prom>]
 //!             [--trace-out <spans.json>]
 //!             [--journal <dir>] [--attach <host:port>] [--no-retry]
-//!             [--drill restart|pipeline|edit] [--fabric <n>]
+//!             [--drill restart|pipeline|edit]
 //!             [--functions <n>] [--edits <n>]
 //! ```
 //!
@@ -83,16 +83,8 @@
 //! candidate must reject them all and still serve correct verdicts.
 //! With `--json` the run writes `BENCH_incr.json` (`warm` / `cold`
 //! rows with the reuse counters).
-//!
-//! `--fabric <n>` runs the multi-node drill instead of a load run:
-//! `n` journaled daemons behind a `fabric::Router`, mixed repeat-heavy
-//! load through the router, and a `SIGKILL`-equivalent crash of the
-//! ring owner of the hottest key mid-drain. Asserts the router sheds to
-//! the survivors with **zero** failed requests after retry and **zero**
-//! wrong verdicts — every response byte-identical to a single-node
-//! control. With `--json` the run writes `BENCH_fabric.json` (`fabric`
-//! and `control` rows, same latency columns as the serve report).
 
+use blastlite::strip_wall_column;
 use obs::json::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,24 +153,6 @@ fn os_threads() -> Option<u64> {
         .and_then(|v| v.trim().parse().ok())
 }
 
-/// Drops the trailing wall-time column (`...  12.3ms`) from each
-/// verdict line: it is real elapsed time, the only part of a verdict
-/// that may legitimately differ between a warm replay and a cold
-/// re-check. The lines under a verdict (a `BUG`'s witness slice) have
-/// no such column and are kept verbatim: a reused or recovered slice
-/// must resolve to exactly the cold check's operations.
-fn strip_timing(s: &str) -> Vec<String> {
-    s.lines()
-        .map(|l| {
-            if l.starts_with(' ') {
-                l.to_owned()
-            } else {
-                l.rsplit_once("  ").map_or(l, |(v, _)| v).to_owned()
-            }
-        })
-        .collect()
-}
-
 /// `--drill restart`: the kill-and-recover drill.
 ///
 /// Phase 1 starts a journaled daemon, checks half the programs, and
@@ -219,7 +193,7 @@ fn drill_restart(seed: u64, requests: usize, server_jobs: usize, retry: u32) {
         match client.request(&request) {
             Ok(wire::Response::Ok {
                 warm, exit, render, ..
-            }) => (warm, exit, strip_timing(&render)),
+            }) => (warm, exit, strip_wall_column(&render)),
             Ok(other) => panic!("drill request {i}: unexpected response {other:?}"),
             Err(e) => panic!("drill request {i}: {e}"),
         }
@@ -451,7 +425,7 @@ fn drill_pipeline(
             );
             let reports = report.into_cluster_reports();
             let (render, exit) = blastlite::render_verdicts(session.program(), &reports);
-            (exit, strip_timing(&render))
+            (exit, strip_wall_column(&render))
         })
         .collect();
 
@@ -493,7 +467,7 @@ fn drill_pipeline(
         match primer.request(&request) {
             Ok(wire::Response::Ok { exit, render, .. }) => {
                 assert_eq!(
-                    (exit, strip_timing(&render)),
+                    (exit, strip_wall_column(&render)),
                     (controls[i].0, controls[i].1.clone()),
                     "drill pipeline: prime {i} diverges from batch CLI"
                 );
@@ -563,7 +537,7 @@ fn drill_pipeline(
                                         "{id}: expected a warm cache hit (hit={cache_hit}, warm={warm})"
                                     ));
                                 }
-                                if (exit, strip_timing(&render))
+                                if (exit, strip_wall_column(&render))
                                     != (controls[program].0, controls[program].1.clone())
                                 {
                                     failures.push(format!("{id}: verdict diverges from batch CLI"));
@@ -722,7 +696,7 @@ fn drill_edit(
         let wall = t.elapsed();
         let reports = report.into_cluster_reports();
         let (render, exit) = blastlite::render_verdicts(session.program(), &reports);
-        (exit, strip_timing(&render), wall)
+        (exit, strip_wall_column(&render), wall)
     };
 
     let journal_root = flag("--journal").map(PathBuf::from).unwrap_or_else(|| {
@@ -752,7 +726,7 @@ fn drill_edit(
         let sent_at = Instant::now();
         match client.request(&request) {
             Ok(wire::Response::Ok { exit, render, .. }) => {
-                (exit, strip_timing(&render), sent_at.elapsed())
+                (exit, strip_wall_column(&render), sent_at.elapsed())
             }
             Ok(other) => panic!("drill edit `{}`: unexpected response {other:?}", request.id),
             Err(e) => panic!("drill edit `{}`: {e}", request.id),
@@ -951,309 +925,6 @@ fn drill_edit(
     );
 }
 
-/// Knobs for the `--fabric` drill, straight from the command line.
-struct FabricDrill {
-    nodes: usize,
-    seed: u64,
-    requests: usize,
-    concurrency: usize,
-    repeat_ratio: f64,
-    server_jobs: usize,
-    retry: u32,
-    json: bool,
-    scale: workloads::Scale,
-}
-
-/// `--fabric <n>`: the multi-node failover drill.
-///
-/// Phase 1 is the single-node control: every program checked cold on a
-/// plain daemon, verdicts recorded. Phase 2 stands up `n` journaled
-/// daemons behind a router and replays a repeat-heavy
-/// schedule through it from `concurrency` client threads; at the
-/// half-way barrier the ring owner of the hottest program is crashed
-/// (`SIGKILL` shape — no drain, no flush) and the load continues.
-/// Every response must be `ok` and byte-identical to the control, and
-/// the router must record the failover without shedding.
-fn drill_fabric(opts: FabricDrill) {
-    use fabric::{Router, RouterConfig};
-    use rt::ring::Ring;
-
-    let FabricDrill {
-        nodes,
-        seed,
-        requests,
-        concurrency,
-        repeat_ratio,
-        server_jobs,
-        retry,
-        json,
-        scale,
-    } = opts;
-
-    let nodes = nodes.clamp(2, 8);
-    let k = requests.clamp(4, 64);
-    let distinct = (k / 2).max(2);
-    let programs: Vec<String> = (0..distinct as u64)
-        .map(|i| generate(&spec(seed + i)).source)
-        .collect();
-
-    // Repeat-heavy schedule over the distinct programs, deterministic
-    // in --seed. Program 0 is forced hottest (first and most repeated)
-    // so "crash the owner of the hottest key" always kills a node that
-    // actually holds warm state.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xFAB);
-    let schedule: Vec<usize> = (0..k)
-        .map(|i| {
-            if i == 0 || rng.gen_bool(repeat_ratio) {
-                0
-            } else {
-                rng.gen_range(0..distinct)
-            }
-        })
-        .collect();
-
-    let check = |client: &mut Client, program: usize, id: String| -> (i32, Vec<String>) {
-        let mut request = wire::Request::new(&programs[program]);
-        request.id = id;
-        match client.request(&request) {
-            Ok(wire::Response::Ok { exit, render, .. }) => (exit, strip_timing(&render)),
-            Ok(other) => panic!(
-                "fabric drill `{}`: unexpected response {other:?}",
-                request.id
-            ),
-            Err(e) => panic!("fabric drill `{}`: {e}", request.id),
-        }
-    };
-
-    // Phase 1: single-node control. Ground truth for every program.
-    let control_server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        jobs: server_jobs,
-        ..ServerConfig::default()
-    })
-    .expect("bind control server");
-    let mut control_client =
-        Client::connect_retrying(control_server.local_addr(), retry).expect("connect control");
-    let t0 = Instant::now();
-    let control: Vec<(i32, Vec<String>)> = (0..distinct)
-        .map(|p| check(&mut control_client, p, format!("control-{p}")))
-        .collect();
-    let control_elapsed = t0.elapsed();
-    drop(control_client);
-    control_server.shutdown();
-
-    // Phase 2: the fleet — n journaled members, router in front.
-    let journal_root = {
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_nanos());
-        std::env::temp_dir().join(format!("pathslice-fabric-{}-{nanos}", std::process::id()))
-    };
-    let mut servers: Vec<Option<Server>> = (0..nodes)
-        .map(|i| {
-            let server = Server::start(ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                jobs: server_jobs,
-                journal_dir: Some(journal_root.join(format!("n{i}"))),
-                ..ServerConfig::default()
-            });
-            Some(server.expect("bind fabric member"))
-        })
-        .collect();
-    let members: Vec<(String, String)> = servers
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            (
-                format!("n{i}"),
-                s.as_ref().unwrap().local_addr().to_string(),
-            )
-        })
-        .collect();
-    let router = Router::start(RouterConfig {
-        addr: "127.0.0.1:0".into(),
-        members: members.clone(),
-        health_every: Duration::from_millis(100),
-        ..RouterConfig::default()
-    })
-    .expect("bind router");
-    let router_addr = router.local_addr();
-
-    let hot_key = blastlite::Session::content_key(&programs[0], "<drill>").expect("parses");
-    let victim = Ring::new(members.iter().cloned())
-        .owner(hot_key)
-        .expect("all up")
-        .name
-        .clone();
-    let victim_idx: usize = victim[1..].parse().unwrap();
-    eprintln!(
-        "fabric drill: {nodes} member(s) behind {router_addr}; \
-         mid-drain victim is {victim} (owner of the hottest key)"
-    );
-
-    // Clients drain their schedule shares to the half-way barrier; the
-    // main thread crashes the victim there; clients drain the rest.
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(concurrency + 1));
-    let programs_arc = std::sync::Arc::new(programs.clone());
-    let t1 = Instant::now();
-    let handles: Vec<_> = (0..concurrency)
-        .map(|c| {
-            let mine: Vec<(usize, usize)> = schedule
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % concurrency == c)
-                .map(|(i, &p)| (i, p))
-                .collect();
-            let barrier = barrier.clone();
-            let programs = programs_arc.clone();
-            std::thread::spawn(move || {
-                let mut client =
-                    Client::connect_retrying(router_addr, retry).expect("connect router");
-                let mut results: Vec<(usize, usize, i32, Vec<String>, Duration)> = Vec::new();
-                let mut failures: Vec<String> = Vec::new();
-                let half = mine.len() / 2;
-                for (phase, slice) in [(0, &mine[..half]), (1, &mine[half..])] {
-                    if phase == 1 {
-                        barrier.wait();
-                        barrier.wait(); // crash happens between the two
-                    }
-                    for &(i, p) in slice {
-                        let mut request = wire::Request::new(&programs[p]);
-                        request.id = format!("fab-{i}");
-                        let sent_at = Instant::now();
-                        match client.request(&request) {
-                            Ok(wire::Response::Ok { exit, render, .. }) => {
-                                results.push((
-                                    i,
-                                    p,
-                                    exit,
-                                    strip_timing(&render),
-                                    sent_at.elapsed(),
-                                ));
-                            }
-                            Ok(other) => failures.push(format!("fab-{i}: {other:?}")),
-                            Err(e) => failures.push(format!("fab-{i}: {e}")),
-                        }
-                    }
-                }
-                (results, failures)
-            })
-        })
-        .collect();
-
-    barrier.wait(); // every client is parked at the half-way line
-    let crashed = servers[victim_idx].take().unwrap().crash();
-    eprintln!(
-        "fabric drill: crashed {victim} mid-drain after {} request(s) on it",
-        crashed.requests
-    );
-    std::thread::sleep(Duration::from_millis(150));
-    barrier.wait(); // release the second half of the load
-
-    let mut results: Vec<(usize, usize, i32, Vec<String>, Duration)> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    for h in handles {
-        let (r, f) = h.join().expect("client thread");
-        results.extend(r);
-        failures.extend(f);
-    }
-    let fabric_elapsed = t1.elapsed();
-
-    assert!(
-        failures.is_empty(),
-        "fabric drill: {} request(s) failed after retry: {failures:?}",
-        failures.len()
-    );
-    assert_eq!(results.len(), k, "fabric drill: lost responses");
-    let mut wrong = 0usize;
-    for (i, p, exit, render, _) in &results {
-        if (*exit, render) != (control[*p].0, &control[*p].1) {
-            eprintln!("fabric drill: request {i} (program {p}) diverged from control");
-            wrong += 1;
-        }
-    }
-    assert_eq!(wrong, 0, "fabric drill: {wrong} wrong verdict(s) served");
-
-    let router_stats = router.shutdown();
-    assert!(
-        router_stats.failovers + router_stats.down_marks > 0,
-        "fabric drill: the crash must be visible to the router: {router_stats}"
-    );
-    assert_eq!(
-        router_stats.shed, 0,
-        "fabric drill: no request may be shed: {router_stats}"
-    );
-    for s in servers.iter_mut().filter_map(Option::take) {
-        s.shutdown();
-    }
-
-    if json {
-        let mut rep = bench::BenchReport::new("fabric", bench::scale_name(scale));
-        rep.config("nodes", Json::Num(nodes as i64));
-        rep.config("requests", Json::Num(k as i64));
-        rep.config("concurrency", Json::Num(concurrency as i64));
-        rep.config("repeat_ratio", Json::Float(repeat_ratio));
-        rep.config("seed", Json::Num(seed as i64));
-        rep.config("server_jobs", Json::Num(server_jobs as i64));
-        for (name, lats, elapsed, extra) in [
-            (
-                "fabric",
-                results.iter().map(|r| r.4).collect::<Vec<_>>(),
-                fabric_elapsed,
-                vec![
-                    ("failovers".to_owned(), router_stats.failovers as i64),
-                    ("down_marks".to_owned(), router_stats.down_marks as i64),
-                    ("shed".to_owned(), router_stats.shed as i64),
-                ],
-            ),
-            ("control", Vec::new(), control_elapsed, Vec::new()),
-        ] {
-            let mut sorted = lats.clone();
-            sorted.sort();
-            let hist = obs::Histogram::new();
-            for d in &sorted {
-                hist.record(d.as_micros() as u64);
-            }
-            let snap = hist.snapshot();
-            let mut fields = vec![
-                ("requests".to_owned(), sorted.len() as i64),
-                (
-                    "hist_p50_us".to_owned(),
-                    snap.quantile_interpolated(0.50) as i64,
-                ),
-                (
-                    "hist_p95_us".to_owned(),
-                    snap.quantile_interpolated(0.95) as i64,
-                ),
-                (
-                    "hist_p99_us".to_owned(),
-                    snap.quantile_interpolated(0.99) as i64,
-                ),
-            ];
-            fields.extend(extra);
-            rep.rows.push(bench::Row {
-                name: name.into(),
-                variant: "default".into(),
-                fields,
-                times_s: vec![
-                    ("p50".into(), percentile(&sorted, 0.50).as_secs_f64()),
-                    ("p95".into(), percentile(&sorted, 0.95).as_secs_f64()),
-                    ("total".into(), elapsed.as_secs_f64()),
-                ],
-                hists: vec![("latency_us".into(), snap)],
-                ..bench::Row::default()
-            });
-        }
-        bench::finish_json_report(rep);
-    }
-
-    println!(
-        "fabric drill: OK ({k} request(s) over {nodes} node(s), {victim} crashed mid-drain, \
-         {} failover(s), 0 shed, 0 wrong verdict(s))",
-        router_stats.failovers + router_stats.down_marks,
-    );
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let json = bench::json_requested();
@@ -1285,25 +956,6 @@ fn main() {
     } else {
         3
     };
-
-    if let Some(n) = flag("--fabric") {
-        let nodes: usize = n.parse().unwrap_or_else(|_| {
-            eprintln!("bad --fabric value `{n}`");
-            std::process::exit(64);
-        });
-        drill_fabric(FabricDrill {
-            nodes,
-            seed,
-            requests: parse_flag("--requests", 24),
-            concurrency,
-            repeat_ratio,
-            server_jobs,
-            retry,
-            json,
-            scale,
-        });
-        return;
-    }
 
     if let Some(drill) = flag("--drill") {
         match drill.as_str() {

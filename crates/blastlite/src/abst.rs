@@ -10,8 +10,7 @@ use std::collections::HashMap;
 /// `1` = known true, `-1` = known false, `0` = unknown.
 pub type Valuation = Vec<i8>;
 
-/// The set of abstraction predicates, with their [`lia`] encodings and
-/// an entailment cache.
+/// The set of abstraction predicates, with their [`lia`] encodings.
 ///
 /// Only pointer-free linear predicates are admitted (others cannot be
 /// reasoned about by the solver and would stay permanently unknown).
@@ -24,9 +23,6 @@ pub struct PredicatePool {
     /// over globals, tracked everywhere.
     scopes: Vec<Option<cfa::FuncId>>,
     solver: Solver,
-    /// Cache of entailment queries: (state-valuation, extra-formula key,
-    /// query index, polarity) → holds?
-    entail_cache: HashMap<(Valuation, u64, usize, bool), bool>,
     /// Cache of assume-consistency checks.
     consistent_cache: HashMap<(Valuation, u64), bool>,
 }
@@ -53,7 +49,6 @@ impl PredicatePool {
             formulas: Vec::new(),
             scopes: Vec::new(),
             solver: Solver::new(),
-            entail_cache: HashMap::new(),
             consistent_cache: HashMap::new(),
         }
     }
@@ -111,7 +106,6 @@ impl PredicatePool {
         // Valuations change shape: old cache entries are keyed by
         // shorter valuations and can never be hit again, but clear them
         // to bound memory.
-        self.entail_cache.clear();
         self.consistent_cache.clear();
         true
     }
@@ -150,7 +144,7 @@ impl PredicatePool {
     }
 
     /// Does `state ∧ extra ⟹ target` hold (positive) or
-    /// `state ∧ extra ⟹ ¬target` (negative)? Unsat-based, cached.
+    /// `state ∧ extra ⟹ ¬target` (negative)? Unsat-based.
     fn entails(
         &mut self,
         vals: &Valuation,
@@ -158,10 +152,6 @@ impl PredicatePool {
         target_idx: usize,
         positive: bool,
     ) -> bool {
-        let key = (vals.clone(), formula_key(extra), target_idx, positive);
-        if let Some(&r) = self.entail_cache.get(&key) {
-            return r;
-        }
         let target = if positive {
             Formula::not(self.formulas[target_idx].clone())
         } else {
@@ -171,9 +161,7 @@ impl PredicatePool {
             Formula::and(self.state_formula(vals), extra.clone()),
             target,
         );
-        let r = self.solver.check(&q).is_unsat();
-        self.entail_cache.insert(key, r);
-        r
+        self.solver.check(&q).is_unsat()
     }
 
     /// Abstract post across an `assume(p)` edge: `None` if the branch is

@@ -60,6 +60,6 @@ pub use driver::{
 };
 pub use reach::SearchOrder;
 pub use session::{
-    config_fingerprint, parse_verdicts, render_slice_edge, render_verdicts, ClusterDeps,
-    RenderedVerdict, ReuseOutcome, Session, UpdateReport,
+    config_fingerprint, parse_verdicts, render_slice_edge, render_verdicts, strip_wall_column,
+    ClusterDeps, RenderedVerdict, ReuseOutcome, Session, UpdateReport,
 };

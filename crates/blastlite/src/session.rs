@@ -187,20 +187,6 @@ impl Session {
         Ok(Session::cold(program, src, key, Some(shape)))
     }
 
-    /// The content key `compile(src, ..)` would produce, without paying
-    /// for lowering or analysis — what a cache consults before deciding
-    /// whether to build a session at all. Identical to the journal
-    /// record key and the fabric router's ring key by construction
-    /// ([`incr::hash::ast_key`]).
-    ///
-    /// # Errors
-    ///
-    /// The rendered front-end parse error, as in [`Session::compile`].
-    pub fn content_key(src: &str, origin: &str) -> Result<u64, String> {
-        let ast = imp::parse(src).map_err(|e| format!("{origin}: {}", e.render(src)))?;
-        Ok(incr::hash::ast_key(&ast))
-    }
-
     /// Wraps an already-lowered program (keyed by its pretty-printed
     /// source text) — for callers that generate programs directly. The
     /// session has no shape, so [`Session::update`] on it always falls
@@ -646,6 +632,25 @@ pub fn parse_verdicts(render: &str) -> Option<Vec<RenderedVerdict<'_>>> {
     Some(verdicts)
 }
 
+/// A [`render_verdicts`] rendering as parity checks compare it: each
+/// header line loses its trailing wall-clock column (real elapsed time,
+/// the one field two honest runs may disagree on), and the indented
+/// lines under it — a `BUG`'s slice, a `MISMATCH`'s reason — are kept
+/// verbatim.
+pub fn strip_wall_column(render: &str) -> Vec<String> {
+    render
+        .lines()
+        .map(|line| {
+            if line.starts_with(BODY_INDENT) {
+                line
+            } else {
+                line.rsplit_once("  ").map_or(line, |(head, _)| head)
+            }
+        })
+        .map(str::to_owned)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,15 +693,7 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
             assert_eq!(code_a, code_b);
-            let strip = |s: &str| -> Vec<String> {
-                s.lines()
-                    .map(|l| {
-                        l.rsplit_once("  ")
-                            .map_or(l.to_owned(), |(v, _)| v.to_owned())
-                    })
-                    .collect()
-            };
-            assert_eq!(strip(&a), strip(&b));
+            assert_eq!(strip_wall_column(&a), strip_wall_column(&b));
         }
     }
 
@@ -758,6 +755,35 @@ mod tests {
         stable.dedup();
         assert_eq!(stable, ["Bug", "Safe"], "{render}");
         assert_eq!(parse_verdicts("    indented first line"), None);
+    }
+
+    #[test]
+    fn strip_wall_column_drops_the_wall_and_keeps_the_slice() {
+        let session = Session::compile(SRC, "<test>").unwrap();
+        let reports: Vec<ClusterReport> = session
+            .check(CheckerConfig::default(), &DriverConfig::sequential())
+            .clusters
+            .into_iter()
+            .map(|c| c.cluster)
+            .collect();
+        let (render, _) = render_verdicts(session.program(), &reports);
+        let slice_line = render
+            .lines()
+            .find(|l| l.starts_with(BODY_INDENT) && l.contains("assume(a > 0)"))
+            .expect("f is BUG through its guard");
+        // The same verdicts, one slice operation changed.
+        let edited = slice_line.replace('0', "7");
+        assert_ne!(edited, slice_line, "{slice_line}");
+        let other = render.replace(slice_line, &edited);
+        assert_ne!(strip_wall_column(&render), strip_wall_column(&other));
+        // The same verdicts, other wall times.
+        let mut slower = reports.clone();
+        for r in &mut slower {
+            r.report.wall += std::time::Duration::from_millis(250);
+        }
+        let (slower, _) = render_verdicts(session.program(), &slower);
+        assert_ne!(slower, render);
+        assert_eq!(strip_wall_column(&slower), strip_wall_column(&render));
     }
 
     #[test]

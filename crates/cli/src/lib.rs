@@ -12,8 +12,6 @@
 //!                 [--stats] [--trace-out <spans.json>]
 //!                 [--slow-ms <ms>] [--slow-out <traces.json>]
 //!                 [--metrics-every <ms>]
-//! pathslice route --peers <node=addr,...> [--addr <host:port>]
-//!                 [--health-ms <ms>] [--stats]
 //! pathslice metrics [--addr <host:port>] [--json] [--slow]
 //! pathslice flame <spans.json>
 //! pathslice bench diff <baseline.json|dir> <current.json>
@@ -57,13 +55,6 @@
 //!   `--metrics-every` the telemetry snapshot interval; `--slow-out`
 //!   dumps the retained slow-request traces
 //!   (`pathslice-slowtraces/v1`) after the drain.
-//! * `route` — run the fabric router (`crates/fabric`): speaks
-//!   `pathslice-wire/v1` to clients and relays each check frame,
-//!   byte-for-byte, to the consistent-hash ring owner of the program's
-//!   content key, so repeat submissions land on the warm node. Members
-//!   are health-checked with the wire `ping` op; a dead, partitioned,
-//!   or `overloaded` member costs a bounded failover walk to the next
-//!   ring position, never a dropped request.
 //! * `metrics` — scrape a live daemon over the wire (`op: "metrics"`):
 //!   Prometheus text exposition by default, the
 //!   `pathslice-metrics/v1` snapshot/delta time series with `--json`,
@@ -104,7 +95,6 @@ pub fn run_command(args: &[String], out: &mut String) -> Result<i32, String> {
     match cmd {
         "check" => cmd_check(&args[1..], out),
         "serve" => cmd_serve(&args[1..], out),
-        "route" => cmd_route(&args[1..], out),
         "metrics" => cmd_metrics(&args[1..], out),
         "flame" => cmd_flame(&args[1..], out),
         "bench" => cmd_bench(&args[1..], out),
@@ -136,8 +126,6 @@ USAGE:
                     [--stats] [--trace-out <spans.json>]
                     [--slow-ms <ms>] [--slow-out <traces.json>]
                     [--metrics-every <ms>]
-    pathslice route --peers <node=addr,...> [--addr <host:port>]
-                    [--health-ms <ms>] [--stats]
     pathslice metrics [--addr <host:port>] [--json] [--slow]
     pathslice flame <spans.json>
     pathslice bench diff <baseline.json|dir> <current.json>
@@ -532,8 +520,7 @@ pub fn serve_until(
     });
     if let Some(f) = removed {
         return Err(format!(
-            "serve {f} was removed in 0.11.0: nodes no longer fetch verdicts from peers; \
-             route a fleet with `pathslice route --peers`"
+            "serve {f} was removed in 0.11.0: nodes no longer fetch verdicts from peers"
         ));
     }
     let jobs = config.jobs.max(1);
@@ -570,78 +557,6 @@ pub fn serve_until(
         pathslicing::obs::write_spans_to(&path, &spans)?;
         let _ = writeln!(out, "wrote {} span(s) to {path}", spans.len());
     }
-    if stats {
-        let _ = writeln!(out, "\n== counters ==");
-        for (name, v) in pathslicing::obs::counters() {
-            let _ = writeln!(out, "{name:<28} {v:>12}");
-        }
-    }
-    Ok(0)
-}
-
-/// Parses `--peers` syntax: `name=host:port[,name=host:port...]`.
-fn parse_peers(spec: &str) -> Result<Vec<(String, String)>, String> {
-    let mut members = Vec::new();
-    for part in spec.split(',').filter(|p| !p.is_empty()) {
-        let (name, addr) = part
-            .split_once('=')
-            .ok_or_else(|| format!("bad --peers entry `{part}` (want name=host:port)"))?;
-        if name.is_empty() || addr.is_empty() {
-            return Err(format!("bad --peers entry `{part}` (want name=host:port)"));
-        }
-        members.push((name.to_owned(), addr.to_owned()));
-    }
-    if members.is_empty() {
-        return Err("--peers lists no members".into());
-    }
-    Ok(members)
-}
-
-fn cmd_route(args: &[String], out: &mut String) -> Result<i32, String> {
-    pathslicing::rt::install_shutdown_handlers();
-    route_until(args, out, &pathslicing::rt::shutdown_token())
-}
-
-/// Runs the fabric router until `stop` is cancelled, then shuts it down
-/// and appends the final accounting. Factored out of the `route`
-/// command so tests control shutdown with their own token.
-///
-/// # Errors
-///
-/// Returns a message on flag errors or bind failure.
-pub fn route_until(
-    args: &[String],
-    out: &mut String,
-    stop: &pathslicing::rt::CancelToken,
-) -> Result<i32, String> {
-    let stats = args.iter().any(|f| f == "--stats");
-    if stats {
-        pathslicing::obs::set_enabled(true);
-    }
-    let mut config = fabric::RouterConfig::default();
-    if let Some(a) = flag_value(args, "--addr")? {
-        config.addr = a;
-    }
-    let peers = flag_value(args, "--peers")?.ok_or("route needs --peers <node=addr,...>")?;
-    config.members = parse_peers(&peers)?;
-    if let Some(ms) = flag_value(args, "--health-ms")? {
-        config.health_every = Duration::from_millis(
-            ms.parse()
-                .map_err(|_| format!("bad --health-ms value `{ms}`"))?,
-        );
-    }
-    let router = fabric::Router::start(config).map_err(|e| format!("cannot start router: {e}"))?;
-    eprintln!(
-        "pathslice route: listening on {} for {} member(s) ({} up); Ctrl-C drains and exits",
-        router.local_addr(),
-        router.members().len(),
-        router.stats().members_up,
-    );
-    while !stop.is_cancelled() {
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    let final_stats = router.shutdown();
-    let _ = writeln!(out, "drained: {final_stats}");
     if stats {
         let _ = writeln!(out, "\n== counters ==");
         for (name, v) in pathslicing::obs::counters() {
@@ -821,6 +736,7 @@ fn flag_value(flags: &[String], name: &str) -> Result<Option<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathslicing::blastlite::strip_wall_column;
 
     fn write_temp(name: &str, contents: &str) -> String {
         let dir = std::env::temp_dir().join("pathslice-cli-tests");
@@ -878,19 +794,13 @@ mod tests {
             out.contains("1 cluster verdict(s) reused, 1 re-checked"),
             "{out}"
         );
-        // The verdict lines themselves match a plain cold check.
+        // Below the `incremental:` summary line, the render matches a
+        // plain cold check.
+        let (summary, render) = out.split_once('\n').unwrap();
+        assert!(summary.starts_with("incremental:"), "{out}");
         let (cold_code, cold_out) = run_ok(&["check", &new]);
         assert_eq!(code, cold_code);
-        let verdicts = |s: &str| -> Vec<String> {
-            s.lines()
-                .filter(|l| l.contains("site(s)"))
-                .map(|l| {
-                    l.rsplit_once("  ")
-                        .map_or(l.to_owned(), |(v, _)| v.to_owned())
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(verdicts(&out), verdicts(&cold_out));
+        assert_eq!(strip_wall_column(render), strip_wall_column(&cold_out));
     }
 
     #[test]
@@ -988,16 +898,7 @@ mod tests {
         let (seq_code, seq_out) = run_ok(&["check", &f]);
         let (par_code, par_out) = run_ok(&["check", &f, "--jobs", "4", "--retries", "2"]);
         assert_eq!(seq_code, par_code);
-        // Strip the wall-clock column (last field) before comparing.
-        let verdicts = |s: &str| {
-            s.lines()
-                .map(|l| {
-                    l.rsplit_once("  ")
-                        .map_or(l.to_owned(), |(v, _)| v.to_owned())
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(verdicts(&seq_out), verdicts(&par_out));
+        assert_eq!(strip_wall_column(&seq_out), strip_wall_column(&par_out));
     }
 
     #[test]
@@ -1147,50 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_peers_accepts_rosters_and_rejects_malformed() {
-        let roster = parse_peers("n1=127.0.0.1:7201,n2=127.0.0.1:7202").unwrap();
-        assert_eq!(
-            roster,
-            vec![
-                ("n1".to_string(), "127.0.0.1:7201".to_string()),
-                ("n2".to_string(), "127.0.0.1:7202".to_string()),
-            ]
-        );
-        // A trailing comma is tolerated; empty segments are skipped.
-        assert_eq!(parse_peers("n1=127.0.0.1:7201,").unwrap().len(), 1);
-        for bad in ["", ",", "n1", "=127.0.0.1:1", "n1="] {
-            assert!(parse_peers(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn route_until_drains_on_token_cancel() {
-        let token = pathslicing::rt::CancelToken::new();
-        let trip = token.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(150));
-            trip.cancel();
-        });
-        // A roster of one unreachable member: the router must still
-        // start (it routes around dead members), then drain cleanly.
-        let args: Vec<String> = [
-            "--addr",
-            "127.0.0.1:0",
-            "--peers",
-            "n1=127.0.0.1:1",
-            "--stats",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let mut out = String::new();
-        let code = route_until(&args, &mut out, &token).unwrap();
-        assert_eq!(code, 0);
-        assert!(out.contains("drained:"), "{out}");
-        assert!(out.contains("== counters =="), "{out}");
-    }
-
-    #[test]
     fn fabric_flags_must_be_coherent() {
         let token = pathslicing::rt::CancelToken::new();
         token.cancel();
@@ -1205,9 +1062,10 @@ mod tests {
             let mut out = String::new();
             assert!(serve_until(&args, &mut out, &token).is_err(), "{case:?}");
         }
-        // route: a roster is mandatory.
+        // route: removed with the fabric in 0.12.0, so an unknown command.
         let mut out = String::new();
-        assert!(route_until(&[], &mut out, &token).is_err());
+        let err = run_command(&["route".to_string()], &mut out).unwrap_err();
+        assert!(err.starts_with("unknown command `route`"), "{err}");
     }
 
     #[test]

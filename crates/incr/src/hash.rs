@@ -1,10 +1,9 @@
 //! The workspace's one content-hash construction.
 //!
 //! Every layer that content-addresses program text — the session cache
-//! key, the verdict-journal record key, the fabric router's ring
-//! placement, and the per-function keys of the incremental derivation
-//! graph — derives its value from this module, so the layers can never
-//! drift apart. The construction is 64-bit FNV-1a, written out by hand
+//! key, the verdict-journal record key, and the per-function keys of
+//! the incremental derivation graph — derives its value from this
+//! module, so the layers can never drift apart. The construction is 64-bit FNV-1a, written out by hand
 //! (no std `Hasher`) so values are stable across Rust releases and
 //! platforms: they are persisted in journals and committed BENCH
 //! baselines.
@@ -65,8 +64,8 @@ impl Fnv {
 /// The canonical content key of a parsed program: FNV-1a over the
 /// *resolved* source (the AST pretty-printed back to canonical text), so
 /// texts differing only in whitespace or comments share a key. This is
-/// the value `blastlite::Session::content_key` and the server's analysis
-/// cache key resolve to.
+/// `blastlite::Session::key`, which keys the server's analysis cache and
+/// the verdict journal.
 pub fn ast_key(ast: &imp::ast::Program) -> u64 {
     fnv64(imp::pretty::program_to_string(ast).as_bytes())
 }
@@ -84,7 +83,7 @@ mod tests {
 
     #[test]
     fn fnv64_matches_the_historic_construction() {
-        // The exact value `Session::content_key` and the journal
+        // The exact value the session content key and the journal
         // checksum produced before unification — changing it would
         // orphan every persisted journal record and BENCH baseline.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -97,8 +97,7 @@ impl Shape {
     }
 
     /// The whole-program content key ([`hash::ast_key`]) — identical to
-    /// `Session::content_key`, the journal record key, and the fabric
-    /// router's ring key.
+    /// `Session::key` and the journal record key.
     pub fn key(&self) -> u64 {
         self.key
     }

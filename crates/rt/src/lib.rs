@@ -20,8 +20,7 @@
 //!   chaos test-suite to prove the driver's invariant that *no injected
 //!   fault can turn a non-Safe verdict into Safe*.
 //! * [`reactor`] — readiness primitives (level-triggered poller + waker)
-//!   for the server's event loop, and [`ring`] — the consistent-hash
-//!   placement ring for the fabric.
+//!   for the server's event loop.
 //!
 //! Budget interrupts are counted into the `obs` metrics registry
 //! (`rt.interrupts_deadline` / `rt.interrupts_cancelled`), so an `obs`
@@ -59,7 +58,6 @@
 //! ```
 
 pub mod reactor;
-pub mod ring;
 
 use std::any::Any;
 use std::cell::Cell;
@@ -397,11 +395,6 @@ pub enum FaultSite {
     /// writing anything. Either way the *daemon* must shrug it off —
     /// only that one connection is affected.
     WireWrite,
-    /// While the router forwards a request to a fabric member (keyed by
-    /// the member's name). [`FaultKind::IoError`] models a network
-    /// partition: every connection to that member is refused and the
-    /// router must reroute to the next ring position.
-    Partition,
     /// While reusing a memoized cluster verdict from the incremental
     /// derivation graph (keyed by the cluster's function name).
     /// [`FaultKind::CorruptCertificate`] damages the stored evidence so
@@ -424,7 +417,6 @@ impl FaultSite {
             FaultSite::JournalReplay => 0x99,
             FaultSite::WireRead => 0xAA,
             FaultSite::WireWrite => 0xBB,
-            FaultSite::Partition => 0xDD,
             FaultSite::IncrReuse => 0xEE,
         }
     }

@@ -1,6 +1,6 @@
 //! The content-addressed analysis cache.
 //!
-//! Requests are keyed by [`Session::content_key`] — a hash of the
+//! Requests are keyed by [`Session::key`] — a hash of the
 //! *resolved* program, so re-submissions that differ only in formatting
 //! share an entry. A hit skips the whole setup pipeline (parse → lower →
 //! validate → `Analyses::build`) and lands on a [`Session`] whose `By`

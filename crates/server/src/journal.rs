@@ -32,6 +32,9 @@
 //! any flipped byte fails closed. Records are single-line JSON (the
 //! workspace's newline-discipline), so the reader can resynchronize at
 //! the next `\n` and recover every undamaged record around a torn one.
+//! Each line is decoded on its own, so a byte that is not UTF-8 (say, a
+//! crash inside a multi-byte character of the embedded source) tears
+//! only its line.
 //!
 //! # Write path
 //!
@@ -485,14 +488,20 @@ impl Journal {
                 continue; // the fresh append segment: ours, empty
             }
             let path = segment_path(&self.config.dir, index);
-            let Ok(text) = std::fs::read_to_string(&path) else {
+            let Ok(bytes) = std::fs::read(&path) else {
                 self.torn.fetch_add(1, Ordering::Relaxed);
                 obs::counter("journal.torn").inc();
                 items.push(ReplayItem::Torn(format!("unreadable segment {index}")));
                 continue;
             };
-            let mut lines = text.split_inclusive('\n');
-            match lines.next().map(str::trim_end) {
+            // Split on raw `\n` and decode each line on its own: a byte
+            // that is not UTF-8 tears only the line it sits in.
+            let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+            match lines
+                .next()
+                .and_then(|l| std::str::from_utf8(l).ok())
+                .map(str::trim_end)
+            {
                 Some(JOURNAL_SCHEMA) => {}
                 _ => {
                     self.torn.fetch_add(1, Ordering::Relaxed);
@@ -519,7 +528,10 @@ impl Journal {
     }
 
     /// Checksum-gates one record line. `Ok(None)` for ignorable blanks.
-    fn replay_line(&self, line: &str) -> Result<Option<JournalRecord>, String> {
+    fn replay_line(&self, line: &[u8]) -> Result<Option<JournalRecord>, String> {
+        let Ok(line) = std::str::from_utf8(line) else {
+            return Err("record line is not UTF-8".into());
+        };
         if line.trim().is_empty() {
             return Ok(None);
         }
@@ -627,9 +639,9 @@ fn truncate(s: &str, n: usize) -> &str {
 
 /// 64-bit FNV-1a over the payload bytes — the workspace's shared
 /// content hash ([`incr::hash::fnv64`]), so the on-disk checksum, the
-/// session content key, the fabric routing key, and the per-function
-/// derivation-graph keys are all one construction. Also used by the
-/// server to remember raw request text.
+/// session content key, and the per-function derivation-graph keys are
+/// all one construction. Also used by the server to remember raw
+/// request text.
 pub(crate) fn content_hash(bytes: &[u8]) -> u64 {
     fnv64(bytes)
 }
@@ -775,6 +787,151 @@ mod tests {
         assert_eq!(live[0].key, 0);
         assert_eq!(live[1].key, 2);
         assert_eq!(reopened.stats().torn, 1);
+    }
+
+    /// Three records whose payloads carry a two-byte `é`, as a
+    /// commented IMP source does, and the segment bytes they make.
+    fn accented_segment(dir: &Path) -> (Vec<JournalRecord>, Vec<u8>) {
+        let mut journal = Journal::open(JournalConfig::new(dir)).unwrap();
+        let records: Vec<JournalRecord> = (0..3)
+            .map(|k| {
+                let mut r = record(k);
+                r.entry.render = format!("main BUG {k} // café\n");
+                r
+            })
+            .collect();
+        for r in &records {
+            journal.append(r).unwrap();
+        }
+        drop(journal);
+        let bytes = std::fs::read(segment_path(dir, 0)).unwrap();
+        (records, bytes)
+    }
+
+    #[test]
+    fn a_non_utf8_byte_tears_only_its_own_line() {
+        let dir = temp_dir("non-utf8");
+        let (records, mut bytes) = accented_segment(&dir);
+        // Flip the high bit of one payload byte in the middle record:
+        // `B` becomes a UTF-8 lead byte with no continuation after it.
+        let at = bytes
+            .windows(5)
+            .position(|w| w == b"BUG 1")
+            .expect("middle record");
+        bytes[at] ^= 0x80;
+        std::fs::write(segment_path(&dir, 0), &bytes).unwrap();
+
+        let reopened = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let items = reopened.replay();
+        assert_eq!(intact(&items), vec![&records[0], &records[2]]);
+        assert_eq!(reopened.stats().torn, 1);
+    }
+
+    #[test]
+    fn a_torn_tail_inside_a_multibyte_character_keeps_the_complete_records() {
+        let dir = temp_dir("torn-utf8");
+        let (records, bytes) = accented_segment(&dir);
+        // A crash mid-write(2) that stops after the first byte of the
+        // last record's `é`.
+        let last_e = bytes
+            .windows(2)
+            .rposition(|w| w == "é".as_bytes())
+            .expect("accented payload");
+        std::fs::write(segment_path(&dir, 0), &bytes[..=last_e]).unwrap();
+
+        let reopened = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let items = reopened.replay();
+        assert_eq!(intact(&items), vec![&records[0], &records[1]]);
+        assert_eq!(reopened.stats().torn, 1);
+    }
+
+    /// Byte-level fuzz of a segment the journal wrote itself: flips,
+    /// insertions and deletions in the tag, the checksum, the payload
+    /// and the newline of random record lines. Replay never panics,
+    /// returns no record that was not written, and returns every record
+    /// more than one line away from every mutation (deleting a newline
+    /// merges a line with the next; inserting one splits it).
+    #[test]
+    fn byte_mutations_never_take_distant_records_with_them() {
+        let dir = temp_dir("fuzz");
+        let mut journal = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let records: Vec<JournalRecord> = (0..8)
+            .map(|k| {
+                let mut r = record(k);
+                r.entry.render = format!("main BUG {k} // naïve café ✓\n");
+                r
+            })
+            .collect();
+        for r in &records {
+            journal.append(r).unwrap();
+        }
+        drop(journal);
+        let original = std::fs::read(segment_path(&dir, 0)).unwrap();
+        // Byte span of each record line, newline included.
+        let header_len = JOURNAL_SCHEMA.len() + 1;
+        let mut lines = Vec::new();
+        let mut start = header_len;
+        for (i, &b) in original.iter().enumerate().skip(header_len) {
+            if b == b'\n' {
+                lines.push(start..i + 1);
+                start = i + 1;
+            }
+        }
+        assert_eq!(lines.len(), records.len());
+
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut rand = move |bound: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize % bound
+        };
+        for round in 0..400 {
+            let mut edits: Vec<(usize, usize)> = Vec::new(); // (offset, line)
+            for _ in 0..1 + rand(3) {
+                let line = rand(lines.len());
+                let span = &lines[line];
+                // A line is the tag `J1 `, 16 hex digits of checksum, a
+                // space, the payload, and the newline.
+                let offset = match rand(4) {
+                    0 => span.start + rand(3),
+                    1 => span.start + 3 + rand(16),
+                    2 => span.start + 20 + rand(span.len() - 21),
+                    _ => span.end - 1,
+                };
+                edits.push((offset, line));
+            }
+            // Apply back to front so earlier offsets stay valid.
+            edits.sort_unstable_by(|a, b| b.cmp(a));
+            let mut bytes = original.clone();
+            for &(offset, _) in &edits {
+                match rand(3) {
+                    0 => bytes[offset] ^= 1 << rand(8),
+                    1 => bytes.insert(offset, [b'\n', 0xC3, 0x80, b' '][rand(4)]),
+                    _ => {
+                        bytes.remove(offset);
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(segment_path(&dir, 0), &bytes).unwrap();
+
+            let reopened = Journal::open(JournalConfig::new(&dir)).unwrap();
+            let items = reopened.replay();
+            let live = intact(&items);
+            for r in &live {
+                assert!(records.contains(r), "round {round}: invented record {r:?}");
+            }
+            for (j, r) in records.iter().enumerate() {
+                if edits.iter().all(|&(_, line)| line.abs_diff(j) > 1) {
+                    assert!(
+                        live.contains(&r),
+                        "round {round}: record {j} lost to edits {edits:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,6 @@
 
 pub mod cache;
 pub mod journal;
-pub mod net;
 mod reactor;
 pub mod wire;
 

@@ -162,7 +162,7 @@ pub fn ping_request_json(id: &str) -> String {
 }
 
 /// The frame a [`Incoming::Ping`] request serializes to under the given
-/// revision (the fabric router probes members with v2 pings).
+/// revision (a pipelining client probes readiness with a v2 ping).
 pub fn ping_request_json_versioned(id: &str, version: WireVersion) -> String {
     op_request_frame("ping", id, version)
 }
@@ -421,9 +421,10 @@ impl Response {
         }
     }
 
-    /// Serializes to one v1 wire line (no trailing newline). Byte-stable:
-    /// the fabric router relays v1 response frames verbatim, so this
-    /// emission must never change shape for a given response.
+    /// Serializes to one v1 wire line (no trailing newline). Byte-stable
+    /// (docs/WIRE.md §7): clients and the serve drills compare answers
+    /// byte for byte, so this emission must never change shape for a
+    /// given response.
     pub fn to_json(&self) -> String {
         self.to_json_versioned(WireVersion::V1)
     }

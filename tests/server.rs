@@ -4,6 +4,7 @@
 //! fault injection, and graceful drain (including the CLI `serve`
 //! wrapper's span flush).
 
+use pathslicing::blastlite::strip_wall_column;
 use pathslicing::rt::{CancelToken, FaultKind, FaultPlan, FaultSite};
 use server::{wire, Client, Server, ServerConfig};
 use std::time::Duration;
@@ -60,17 +61,6 @@ fn slow_source() -> String {
     .source
 }
 
-/// Strips the trailing wall-clock column (the only nondeterministic
-/// field) from every line, the same way the CLI's own parity tests do.
-fn strip_timing(s: &str) -> Vec<String> {
-    s.lines()
-        .map(|l| {
-            l.rsplit_once("  ")
-                .map_or(l.to_owned(), |(v, _)| v.to_owned())
-        })
-        .collect()
-}
-
 fn temp_file(name: &str, contents: &str) -> String {
     let dir = std::env::temp_dir().join("pathslice-server-tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -97,7 +87,11 @@ fn served_verdicts_match_pathslice_check_byte_for_byte() {
         assert_eq!(exit, cli_exit, "{name}");
         // Identical up to the wall-clock column — including the witness
         // slice lines under a BUG verdict.
-        assert_eq!(strip_timing(&render), strip_timing(&cli_out), "{name}");
+        assert_eq!(
+            strip_wall_column(&render),
+            strip_wall_column(&cli_out),
+            "{name}"
+        );
         if want_exit == 1 {
             assert!(render.contains("assume"), "witness served: {render}");
         }
@@ -163,8 +157,8 @@ fn a_verdict_is_reused_only_under_the_configuration_it_was_derived_with() {
         assert!(hit, "{knob}: same program, so an analysis-cache hit");
         assert_eq!(exit, cold_exit, "{knob}");
         assert_eq!(
-            strip_timing(&render),
-            strip_timing(&cold_render),
+            strip_wall_column(&render),
+            strip_wall_column(&cold_render),
             "{knob}: the default answer must be the cold default answer"
         );
         assert_eq!(slice(&render), slice(&cold_render), "{knob}: {render}");

@@ -7,6 +7,7 @@
 //! exactly the injected damage (fixed seeds make the plans
 //! reproducible).
 
+use pathslicing::blastlite::strip_wall_column;
 use pathslicing::incr::hash::fnv64;
 use pathslicing::obs::json::Json;
 use pathslicing::rt::{FaultKind, FaultPlan, FaultSite};
@@ -45,17 +46,6 @@ fn journal_dir(name: &str) -> PathBuf {
         .join(format!("{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Strips the trailing wall-clock column, the same way the parity
-/// tests do.
-fn strip_timing(s: &str) -> Vec<String> {
-    s.lines()
-        .map(|l| {
-            l.rsplit_once("  ")
-                .map_or(l.to_owned(), |(v, _)| v.to_owned())
-        })
-        .collect()
 }
 
 fn ok_response(resp: wire::Response) -> (bool, i32, String) {
@@ -280,7 +270,7 @@ fn corrupted_journal_certificates_are_rejected_never_served() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     let (_, exit, render) = ok_response(client.request(&wire::Request::new(BUGGY)).unwrap());
     assert_eq!(exit, 1);
-    let cold_render = strip_timing(&render);
+    let cold_render = strip_wall_column(&render);
     drop(client);
     let stats = server.shutdown();
     assert_eq!(stats.journal.expect("journal stats").appended, 1);
@@ -307,7 +297,7 @@ fn corrupted_journal_certificates_are_rejected_never_served() {
     let (warm, exit, render) = ok_response(client.request(&wire::Request::new(BUGGY)).unwrap());
     assert!(!warm, "a rejected record must never serve warm");
     assert_eq!(exit, 1, "the cold re-check still finds the bug");
-    assert_eq!(strip_timing(&render), cold_render, "verdict parity");
+    assert_eq!(strip_wall_column(&render), cold_render, "verdict parity");
     server.shutdown();
 }
 
@@ -328,7 +318,7 @@ fn a_record_serving_what_its_trace_does_not_prove_is_rejected() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     let (_, exit, render) = ok_response(client.request(&wire::Request::new(BUGGY)).unwrap());
     assert_eq!(exit, 1);
-    let cold_render = strip_timing(&render);
+    let cold_render = strip_wall_column(&render);
     drop(client);
     server.shutdown();
 
@@ -369,7 +359,7 @@ fn a_record_serving_what_its_trace_does_not_prove_is_rejected() {
     let (warm, exit, render) = ok_response(client.request(&wire::Request::new(BUGGY)).unwrap());
     assert!(!warm, "a rejected record must never serve warm");
     assert_eq!(exit, 1, "the cold re-check answers BUG");
-    assert_eq!(strip_timing(&render), cold_render);
+    assert_eq!(strip_wall_column(&render), cold_render);
     server.shutdown();
 }
 
@@ -482,7 +472,10 @@ fn crash_then_recover_serves_identical_verdicts_warm() {
     let (warm, exit, render) = ok_response(client.request(&wire::Request::new(BUGGY)).unwrap());
     assert!(warm, "recovered verdict serves warm after the crash");
     assert_eq!(exit, exit_before);
-    assert_eq!(strip_timing(&render), strip_timing(&render_before));
+    assert_eq!(
+        strip_wall_column(&render),
+        strip_wall_column(&render_before)
+    );
     let stats = server.shutdown();
     assert_eq!(stats.verdict_hits, 1, "{stats}");
 }
@@ -736,7 +729,7 @@ fn mutated_journal_records_fail_recovery_cleanly() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     let (_, exit, render) = ok_response(client.request(&wire::Request::new(MIXED)).unwrap());
     assert_eq!(exit, cold_exit);
-    assert_eq!(strip_timing(&render), strip_timing(&cold_render));
+    assert_eq!(strip_wall_column(&render), strip_wall_column(&cold_render));
     let slice = |r: &str| -> Vec<String> {
         r.lines()
             .filter(|l| l.starts_with(' '))

@@ -4,6 +4,7 @@
 //! oversize handling, mixed v1/v2 connections, and the cross-check
 //! that every wire op is documented.
 
+use blastlite::strip_wall_column;
 use server::{wire, Client, Server, ServerConfig};
 use std::time::Duration;
 use workloads::WorkloadSpec;
@@ -53,16 +54,6 @@ fn v2_check(source: &str, id: &str) -> String {
     request.to_json_versioned(wire::WireVersion::V2)
 }
 
-/// Drop the per-run wall-clock column so renders compare byte-stably.
-fn strip_timing(s: &str) -> Vec<String> {
-    s.lines()
-        .map(|l| {
-            l.rsplit_once("  ")
-                .map_or(l.to_owned(), |(v, _)| v.to_owned())
-        })
-        .collect()
-}
-
 /// The heart of v2: two checks pipelined on one connection, the slow
 /// one first. The daemon finishes the cached one while the cold one is
 /// still running, and the completions come back tagged with their own
@@ -106,7 +97,10 @@ fn pipelined_completions_return_out_of_order_with_correct_ids() {
             assert!(cache_hit, "fast must be a cache hit");
             // Same program, same verdicts: the response really is the
             // one its id names, not a mislabelled `slow` result.
-            assert_eq!(strip_timing(&render), strip_timing(&primed_render));
+            assert_eq!(
+                strip_wall_column(&render),
+                strip_wall_column(&primed_render)
+            );
         }
         other => panic!("fast: {other:?}"),
     }
@@ -164,8 +158,8 @@ fn interleaved_request_ids_all_come_back_exactly_once() {
                     &buggy_render
                 };
                 assert_eq!(
-                    strip_timing(&render),
-                    strip_timing(want),
+                    strip_wall_column(&render),
+                    strip_wall_column(want),
                     "{id}: verdict does not match its id"
                 );
                 assert!(seen.insert(id.clone()), "{id}: duplicated completion");
